@@ -19,13 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from ._primes import odd_primes_in
-from .catalog import Catalog, CatalogEntry, default_cache_dir
-from .configurations import (
-    canonical_configuration,
-    enumerate_convergent,
-    format_configuration,
-    parse_configuration,
-)
+from .catalog import Catalog, default_cache_dir
+from .configurations import enumerate_convergent, format_configuration, parse_configuration
 from .congruences import (
     CongruenceReport,
     verify_ahlgren,
@@ -37,6 +32,7 @@ from .congruences import (
 )
 from .ctengine import leading_coefficients, linear_form_model
 from .ffhyper import (
+    _phi,
     build_table,
     hyp2f1_exact,
     hyp_greene,
@@ -191,7 +187,7 @@ def cmd_hyper(args) -> int:
         greene = hyp_greene(p, 1, lam, table)
         exact = hyp2f1_exact(p, lam)
         inv = pow(lam, -1, p)
-        transform_ok = exact.as_fraction() == _phi(table, lam) * hyp2f1_exact(p, inv).as_fraction()
+        transform_ok = exact.as_fraction() == _phi(p, lam) * hyp2f1_exact(p, inv).as_fraction()
         truncated_ok = truncated_2f1_mod_p2(p, lam).value == truncated_2f1_reference(p, lam).value
         row_ok = greene == exact and transform_ok and truncated_ok
         ok &= row_ok
@@ -211,11 +207,6 @@ def cmd_hyper(args) -> int:
     emitter.emit({"p": p, "lambda": 1, "special_value": special, "pass": bool(special)})
     emitter.close()
     return 0 if ok else 1
-
-
-def _phi(table, x: int) -> int:
-    e = table.char_exponent((table.p - 1) // 2, x)
-    return 1 if e == 0 else -1
 
 
 def _report_rows(report: CongruenceReport) -> list[dict]:
@@ -295,15 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cellform {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="write output to this path (plus a run manifest)")
+    def common(p, out=False, fmt=False):
         p.add_argument("--cache-dir", help="override the catalog cache directory")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers where supported")
+        if out:
+            p.add_argument("--out", help="write output to this path (plus a run manifest)")
+        if fmt:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("enumerate", help="enumerate convergent configurations")
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    common(p, out=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("coeffs", help="leading coefficients of a configuration")
@@ -322,17 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--n", type=int, help="enumerate configurations of this size (conj1)")
     p.add_argument("--sigma", help="single configuration (conj1)")
-    common(p)
+    common(p, out=True, fmt=True)
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers (thm1 --all-l)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("modform", help="coefficient table with per-source agreement")
     p.add_argument("--pmax", type=int, default=50)
-    common(p)
+    common(p, out=True, fmt=True)
     p.set_defaults(func=cmd_modform)
 
     p = sub.add_parser("hyper", help="hypergeometric identity matrix at one prime")
     p.add_argument("--p", type=int, required=True)
-    common(p)
+    common(p, out=True, fmt=True)
     p.set_defaults(func=cmd_hyper)
 
     p = sub.add_parser("fit", help="fit a polynomial-coefficient recurrence")

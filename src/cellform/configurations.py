@@ -10,7 +10,7 @@ star multiplication of pairs of dihedral structures.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class Configuration:
 
     n_points: int
     sigma: tuple[int, ...]
-    canonical: bool = field(default=True, compare=False)
 
     def __str__(self) -> str:
         return format_configuration(self)

@@ -8,13 +8,12 @@ their parameters and rerunning yields identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 from ._primes import is_prime, odd_primes_in
 from .catalog import Catalog
 from .configurations import Configuration, canonical_configuration, format_configuration
 from .ctengine import leading_coefficients
-from .modforms import ETA4_2Z_4Z, ETA6_4Z, ETA12_2Z, eta_qexp, gamma_cm, gamma_eta12_pointcount
+from .modforms import ETA4_2Z_4Z, ETA6_4Z, eta_qexp, gamma_cm, gamma_eta12_pointcount
 from .sequences import a_sigma8, apery_a, apery_b
 
 
@@ -82,28 +81,12 @@ def verify_thm1(l: int, p_max: int) -> CongruenceReport:
     return report
 
 
-def _half_range_constrained_sum(m: int) -> int:
-    """The quadruple sum over 0 <= k_i <= m with k1+k2 = k3+k4 of
-    prod C(m,k_i) C(m+k_i,k_i), via one self-convolution."""
-    c = [comb(m, k) * comb(m + k, k) for k in range(m + 1)]
-    conv = [0] * (2 * m + 1)
-    for i, ci in enumerate(c):
-        for j, cj in enumerate(c):
-            conv[i + j] += ci * cj
-    return sum(x * x for x in conv)
-
-
 def verify_thm2(p_max: int) -> CongruenceReport:
-    """Half-range constrained sum against the weight-6 point-count coefficient."""
+    """a_sigma8((p-1)/2) against the weight-6 point-count coefficient, odd p."""
     report = CongruenceReport()
     for p in odd_primes_in(3, p_max + 1):
-        m = (p - 1) // 2
-        lhs = _half_range_constrained_sum(m)
-        # At n = m the half-range sum is the leading coefficient itself.
-        if lhs != a_sigma8(m):
-            raise AssertionError(f"half-range sum disagrees with closed form at p={p}")
-        rhs = gamma_eta12_pointcount(p)
-        report.add(_case("THM2", [("p", p)], lhs, rhs, p * p))
+        lhs = a_sigma8((p - 1) // 2)
+        report.add(_case("THM2", [("p", p)], lhs, gamma_eta12_pointcount(p), p * p))
     return report
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .catalog import Catalog
 from .configurations import (
@@ -58,20 +57,6 @@ class SequenceRecord:
     provenance: str
 
 
-@dataclass
-class SweepState:
-    """Live extraction state over the currently open variables.
-
-    terms maps packed exponent keys (base n+1 digits, one per open variable,
-    every digit <= n) to integer coefficients; once a variable's last covering
-    factor is consumed only exponent-n terms survive and its digit is dropped.
-    """
-
-    active_vars: list[int]
-    terms: dict[int, int]
-    processed: int = 0
-
-
 def linear_form_model(sigma) -> IntervalFormProduct:
     """Interval model of the integrand for the literal representative sigma.
 
@@ -111,21 +96,6 @@ def linear_form_model(sigma) -> IntervalFormProduct:
 # ---------------------------------------------------------------------------
 # Constant-term sweep
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _compositions(total: int, width: int) -> tuple:
-    """All (composition, multinomial(total; composition)) for a given width."""
-    if width == 0:
-        return ((tuple(), 1),) if total == 0 else tuple()
-    if width == 1:
-        return (((total,), 1),)
-    out = []
-    for first in range(total + 1):
-        c = math.comb(total, first)
-        for rest, m in _compositions(total - first, width - 1):
-            out.append(((first,) + rest, c * m))
-    return tuple(out)
-
 
 def _linear_multiplies(state, active, fvars, n):
     """Multiply the state by (x_a + ... + x_b)^n as n capped linear passes."""
@@ -221,27 +191,29 @@ def constant_term(model: IntervalFormProduct, n: int) -> int:
         for v in range(a, b + 1):
             last[v] = i
 
-    state = SweepState(active_vars=[], terms={0: 1})
+    # terms maps packed exponent keys (base n+1 digits, one per variable of
+    # active, every digit <= n) to integer coefficients; once a variable's last
+    # covering factor is consumed only exponent-n terms survive and its digit
+    # is dropped.
+    active: list[int] = []
+    terms = {0: 1}
     seen = set()
     for i, (a, b) in enumerate(factors):
         fvars = list(range(a, b + 1))
         for v in fvars:
             if v not in seen:
                 seen.add(v)
-                state.active_vars.append(v)
+                active.append(v)
         closing = [v for v in fvars if last[v] == i]
         if closing:
-            state.terms, state.active_vars = _closing_multiply(
-                state.terms, state.active_vars, fvars, closing, n
-            )
+            terms, active = _closing_multiply(terms, active, fvars, closing, n)
         else:
-            state.terms = _linear_multiplies(state.terms, state.active_vars, fvars, n)
-        state.processed = i + 1
+            terms = _linear_multiplies(terms, active, fvars, n)
     # The unspecialized final variable is pinned by homogeneity, never filtered;
     # anything left open or off-lattice here is an engine bug.
-    if state.active_vars or any(k != 0 for k in state.terms):
+    if active or any(k != 0 for k in terms):
         raise ModelError("sweep failed to close all variables")
-    return state.terms.get(0, 0)
+    return terms.get(0, 0)
 
 
 def _sweep_cost(factors: tuple[tuple[int, int], ...]) -> tuple:

@@ -1,29 +1,23 @@
-"""Hot numeric kernels with numba-jitted primaries and pure-numpy fallbacks.
+"""Batch numpy kernels for the inner loops that work on machine integers.
 
-Two inner loops dominate desk-scale runtimes: scanning permutations for
-convergence during enumeration, and counting points on the Legendre curves
-over F_p.  Both work on machine integers, so they carry ``@njit`` versions.
-Everything involving arbitrary-precision integers lives elsewhere in plain
-Python.
-
-Set ``CELLFORM_NO_NUMBA=1`` to force the numpy fallback path (the two paths
-return identical arrays; ``benchmarks/bench_kernels.py`` compares them).
+Three loops dominate desk-scale runtimes: scanning permutations for
+convergence during enumeration, canonicalizing the survivors under the
+two-sided dihedral action, and counting points on the Legendre curves over
+F_p.  Each has one vectorized implementation here; the plain-Python oracles
+they are tested against are ``configurations.is_convergent``,
+``configurations.canonical_configuration`` and ``modforms.legendre_trace``.
+Everything involving arbitrary-precision integers lives elsewhere.
 """
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("CELLFORM_NO_NUMBA", "").strip().lower()
-USE_NUMBA = _FLAG not in ("1", "true", "yes")
+from ._primes import is_prime
 
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
+# Read by perfbench/worker.py for its machine record; every kernel is numpy.
+USE_NUMBA = False
 
 _BATCH = 1 << 17
 
@@ -38,32 +32,9 @@ _BATCH = 1 << 17
 # the window grows: the window is a cyclic value interval iff one run remains.
 # ---------------------------------------------------------------------------
 
-def _convergent_mask_py(batch: np.ndarray) -> np.ndarray:
-    rows, n = batch.shape
-    kmax = n // 2
-    out = np.ones(rows, dtype=np.bool_)
-    for r in range(rows):
-        perm = [int(v) for v in batch[r]]
-        ok = True
-        for i in range(n):
-            member = bytearray(n + 1)
-            runs = 0
-            for k in range(1, kmax + 1):
-                v = perm[(i + k - 1) % n]
-                left = n if v == 1 else v - 1
-                right = 1 if v == n else v + 1
-                runs += 1 - member[left] - member[right]
-                member[v] = 1
-                if k >= 2 and runs == 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        out[r] = ok
-    return out
-
-
-def _convergent_mask_np(batch: np.ndarray) -> np.ndarray:
+def convergent_mask(batch: np.ndarray) -> np.ndarray:
+    """Boolean mask of convergent rows for a (rows, N) batch of permutations."""
+    batch = np.ascontiguousarray(batch, dtype=np.int64)
     rows, n = batch.shape
     kmax = n // 2
     ridx = np.arange(rows)
@@ -82,43 +53,6 @@ def _convergent_mask_np(batch: np.ndarray) -> np.ndarray:
             if k >= 2:
                 alive &= runs != 1
     return alive
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _convergent_mask_jit(batch):  # pragma: no cover - exercised via wrapper
-        rows, n = batch.shape
-        kmax = n // 2
-        out = np.ones(rows, dtype=np.bool_)
-        member = np.zeros(n + 1, dtype=np.uint8)
-        for r in range(rows):
-            ok = True
-            for i in range(n):
-                for j in range(n + 1):
-                    member[j] = 0
-                runs = 0
-                for k in range(1, kmax + 1):
-                    v = batch[r, (i + k - 1) % n]
-                    left = n if v == 1 else v - 1
-                    right = 1 if v == n else v + 1
-                    runs += 1 - member[left] - member[right]
-                    member[v] = 1
-                    if k >= 2 and runs == 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            out[r] = ok
-        return out
-
-
-def convergent_mask(batch: np.ndarray) -> np.ndarray:
-    """Boolean mask of convergent rows for a (rows, N) batch of permutations."""
-    batch = np.ascontiguousarray(batch, dtype=np.int64)
-    if USE_NUMBA:
-        return _convergent_mask_jit(batch)
-    return _convergent_mask_np(batch)
 
 
 def convergent_permutations(n: int) -> np.ndarray:
@@ -164,30 +98,11 @@ def _encode(batch: np.ndarray) -> np.ndarray:
     return batch @ weights
 
 
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _canonical_keys_jit(batch, maps):  # pragma: no cover
-        rows, n = batch.shape
-        nmaps = maps.shape[0]
-        out = np.empty(rows, dtype=np.int64)
-        for r in range(rows):
-            best = np.int64(0x7FFFFFFFFFFFFFFF)
-            for a in range(nmaps):
-                for b in range(nmaps):
-                    key = np.int64(0)
-                    for i in range(n):
-                        v = batch[r, maps[b, i]] - 1
-                        key = key * (n + 1) + maps[a, v] + 1
-                    if key < best:
-                        best = key
-            out[r] = best
-        return out
-
-
-def _canonical_keys_np(batch: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    rows, n = batch.shape
-    best = np.full(rows, np.iinfo(np.int64).max, dtype=np.int64)
+def canonical_keys(batch: np.ndarray) -> np.ndarray:
+    """Per-row canonical double-coset key (encoded canonical sequence)."""
+    batch = np.ascontiguousarray(batch, dtype=np.int64)
+    maps = _dihedral_maps(batch.shape[1])
+    best = np.full(batch.shape[0], np.iinfo(np.int64).max, dtype=np.int64)
     for a in range(maps.shape[0]):
         relabel = maps[a] + 1
         vals = relabel[batch - 1]
@@ -195,15 +110,6 @@ def _canonical_keys_np(batch: np.ndarray, maps: np.ndarray) -> np.ndarray:
             key = _encode(vals[:, maps[b]])
             np.minimum(best, key, out=best)
     return best
-
-
-def canonical_keys(batch: np.ndarray) -> np.ndarray:
-    """Per-row canonical double-coset key (encoded canonical sequence)."""
-    batch = np.ascontiguousarray(batch, dtype=np.int64)
-    maps = _dihedral_maps(batch.shape[1])
-    if USE_NUMBA:
-        return _canonical_keys_jit(batch, maps)
-    return _canonical_keys_np(batch, maps)
 
 
 def decode_key(key: int, n: int) -> tuple[int, ...]:
@@ -219,7 +125,10 @@ def decode_key(key: int, n: int) -> tuple[int, ...]:
 # Legendre point counts: a(p, lambda) = -sum_x phi(x (x-1) (x-lambda))
 # ---------------------------------------------------------------------------
 
-def _legendre_traces_np(p: int) -> np.ndarray:
+def legendre_traces(p: int) -> np.ndarray:
+    """Traces a(p, lambda) for lambda = 2..p-1 (Hasse bound asserted)."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
     qr = np.zeros(p, dtype=np.int8)
     x = np.arange(1, p, dtype=np.int64)
     qr[(x * x) % p] = 1
@@ -227,32 +136,7 @@ def _legendre_traces_np(p: int) -> np.ndarray:
     lams = np.arange(2, p, dtype=np.int64)
     f = (xs * (xs - 1))[None, :] * (xs[None, :] - lams[:, None]) % p
     phi = np.where(f == 0, 0, np.where(qr[f] == 1, 1, -1))
-    return -phi.sum(axis=1)
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _legendre_traces_jit(p):  # pragma: no cover
-        qr = np.zeros(p, dtype=np.int8)
-        for x in range(1, p):
-            qr[(x * x) % p] = 1
-        out = np.empty(p - 2, dtype=np.int64)
-        for lam in range(2, p):
-            s = 0
-            for x in range(p):
-                f = (x * (x - 1)) % p * ((x - lam) % p) % p
-                if f != 0:
-                    s += 1 if qr[f] == 1 else -1
-            out[lam - 2] = -s
-        return out
-
-
-def legendre_traces(p: int) -> np.ndarray:
-    """Traces a(p, lambda) for lambda = 2..p-1 (Hasse bound asserted)."""
-    if p < 3:
-        raise ValueError("p must be an odd prime >= 3")
-    traces = _legendre_traces_jit(p) if USE_NUMBA else _legendre_traces_np(p)
+    traces = -phi.sum(axis=1)
     if traces.size and int(np.max(traces * traces)) > 4 * p:
         raise AssertionError(f"Hasse bound violated at p={p}")
     return traces

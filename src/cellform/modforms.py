@@ -13,8 +13,8 @@ from math import comb, isqrt
 
 import numpy as np
 
-from . import kernels
 from ._primes import is_prime
+from .kernels import legendre_traces
 
 
 @dataclass(frozen=True)
@@ -178,13 +178,6 @@ def legendre_trace(p: int, lam: int) -> int:
     if a * a > 4 * p:
         raise AssertionError(f"Hasse bound violated: |{a}| > 2 sqrt({p})")
     return a
-
-
-def legendre_traces(p: int) -> np.ndarray:
-    """All a(p, lambda) for lambda = 2..p-1, through the batch kernel."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    return kernels.legendre_traces(p)
 
 
 def gamma_eta12_pointcount(p: int) -> int:

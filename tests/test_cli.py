@@ -193,3 +193,28 @@ def test_verify_thm1_parallel_matches_serial(tmp_path, capsys):
     )
     assert serial_code == parallel_code == 0
     assert serial_out == parallel_out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--sigma", "1,3,5,2,4", "--terms", "2"],
+        ["fit", "--sequence", "a", "--terms", "40", "--order", "2", "--degree", "2"],
+    ],
+)
+def test_out_rejected_where_nothing_is_written(argv, tmp_path, monkeypatch, capsys):
+    # coeffs and fit print to stdout only; an --out path was never written, so
+    # hashing it for the manifest crashed after the result was printed.
+    import cellform.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("computation ran before the option was rejected")
+
+    monkeypatch.setattr(cli, "leading_coefficients", no_work)
+    monkeypatch.setattr(cli, "fit", no_work)
+    out = tmp_path / "result.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out), "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not out.exists()

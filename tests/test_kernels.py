@@ -16,46 +16,37 @@ def _perm_batch(n):
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_convergence_paths_agree(n):
     batch = _perm_batch(n)
-    np_mask = kernels._convergent_mask_np(batch)
-    py_mask = kernels._convergent_mask_py(batch)
-    assert np.array_equal(np_mask, py_mask)
-    if kernels.USE_NUMBA:
-        assert np.array_equal(kernels._convergent_mask_jit(batch), np_mask)
-    # agree with the reference scalar test
     expected = np.array([is_convergent(tuple(r)) for r in batch])
-    assert np.array_equal(np_mask, expected)
+    assert np.array_equal(kernels.convergent_mask(batch), expected)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_canonical_key_paths_agree(n):
     batch = _perm_batch(n)[:720]
-    maps = kernels._dihedral_maps(n)
-    np_keys = kernels._canonical_keys_np(batch, maps)
-    if kernels.USE_NUMBA:
-        assert np.array_equal(kernels._canonical_keys_jit(batch, maps), np_keys)
+    keys = kernels.canonical_keys(batch)
     # keys decode to the canonical double-coset representative
-    for row, key in zip(batch[:60], np_keys[:60]):
+    for row, key in zip(batch, keys):
         assert kernels.decode_key(int(key), n) == canonical_configuration(tuple(row)).sigma
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 101])
 def test_legendre_paths_agree(p):
-    np_traces = kernels._legendre_traces_np(p)
-    if kernels.USE_NUMBA:
-        assert np.array_equal(kernels._legendre_traces_jit(p), np_traces)
-    assert np.array_equal(kernels.legendre_traces(p), np_traces)
-    for lam in range(2, min(p, 9)):
-        assert legendre_trace(p, lam) == np_traces[lam - 2]
+    traces = kernels.legendre_traces(p)
+    assert traces.tolist() == [legendre_trace(p, lam) for lam in range(2, p)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 9])
+def test_legendre_traces_rejects_non_odd_prime(p):
+    with pytest.raises(ValueError, match="odd prime"):
+        kernels.legendre_traces(p)
 
 
 def test_run_merge_counts_down():
     # (1,3,2,...): the window {1,3} has two runs until 2 joins them; a
     # miscounted merge would leave this row marked convergent.
     batch = np.array([[1, 3, 2, 4, 5], [1, 3, 5, 2, 4]], dtype=np.int64)
-    assert kernels._convergent_mask_py(batch).tolist() == [False, True]
-    assert kernels._convergent_mask_np(batch).tolist() == [False, True]
-    if kernels.USE_NUMBA:
-        assert kernels._convergent_mask_jit(batch).tolist() == [False, True]
+    assert kernels.convergent_mask(batch).tolist() == [False, True]
+    assert [is_convergent(tuple(r)) for r in batch.tolist()] == [False, True]
 
 
 def test_decode_key_inverts_encoding():
@@ -63,25 +54,3 @@ def test_decode_key_inverts_encoding():
     keys = kernels._encode(batch)
     for row, key in zip(batch, keys):
         assert kernels.decode_key(int(key), 5) == tuple(row)
-
-
-@pytest.mark.usefixtures("checkout_env")
-def test_env_flag_selects_fallback(monkeypatch):
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    monkeypatch.setenv("CELLFORM_NO_NUMBA", "1")
-    code = (
-        "import cellform.kernels as k; "
-        "assert not k.USE_NUMBA; "
-        "import numpy as np; "
-        "print(k.__file__); "
-        "print(int(k.convergent_mask(np.array([[1,3,5,2,4],[1,2,3,4,5]])).tolist()[0]))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    child_file, verdict = out.stdout.strip().splitlines()
-    # the child ran the code under test, not some other installed copy
-    assert Path(child_file).resolve() == Path(kernels.__file__).resolve()
-    assert verdict == "1"
