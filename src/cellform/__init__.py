@@ -59,7 +59,6 @@ from .modforms import (
 from .ffhyper import (
     CharacterTable,
     HypValue,
-    PrecisionError,
     build_table,
     hyp2f1_exact,
     hyp_greene,

@@ -5,7 +5,7 @@ convergence flag, interval model, dual's canonical string, and computed terms
 (held as decimal strings so files stay portable and diff-able).  Writes go
 through a temp file and an atomic rename, so concurrent readers see either
 the old or the new catalog, never a torn one.  A version bump invalidates
-cached terms wholesale.
+cached terms wholesale; a file that is not valid JSON raises instead.
 """
 from __future__ import annotations
 
@@ -78,8 +78,9 @@ class Catalog:
             return
         try:
             data = json.loads(self.path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return
+        except json.JSONDecodeError as exc:
+            # Starting empty here would let the next save overwrite the file.
+            raise ValueError(f"corrupt catalog {self.path}: {exc}") from exc
         if data.get("engine") != self.ENGINE_VERSION:
             return  # stale engine: start fresh, the next save overwrites
         for sigma, entry in data.get("entries", {}).items():

@@ -286,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cellform {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=False, fmt=False):
-        p.add_argument("--cache-dir", help="override the catalog cache directory")
+    def common(p, cache_dir=True, out=False, fmt=False):
+        if cache_dir:
+            p.add_argument("--cache-dir", help="override the catalog cache directory")
         if out:
             p.add_argument("--out", help="write output to this path (plus a run manifest)")
         if fmt:
@@ -320,12 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modform", help="coefficient table with per-source agreement")
     p.add_argument("--pmax", type=int, default=50)
-    common(p, out=True, fmt=True)
+    common(p, cache_dir=False, out=True, fmt=True)
     p.set_defaults(func=cmd_modform)
 
     p = sub.add_parser("hyper", help="hypergeometric identity matrix at one prime")
     p.add_argument("--p", type=int, required=True)
-    common(p, out=True, fmt=True)
+    common(p, cache_dir=False, out=True, fmt=True)
     p.set_defaults(func=cmd_hyper)
 
     p = sub.add_parser("fit", help="fit a polynomial-coefficient recurrence")

@@ -1,27 +1,21 @@
 """Multiplicative character tables over F_p and finite-field hypergeometric
 sums restricted to quadratic/trivial parameters.
 
-The character sums are evaluated over complex floats with an explicitly
-tracked worst-case error bound and then rounded onto the lattice of integer
-multiples of p^-(n+1); a bound exceeding half the lattice spacing raises
-PrecisionError rather than risking a silent mis-rounding.  The Legendre
-point-count route provides an exact independent value for the 2F1 case.
+The character sums are evaluated exactly in one prime field F_q with
+q = 1 (mod p-1), where an element of order p-1 stands in for the root of
+unity zeta_(p-1); a bound on the Jacobi sums makes the symmetric lift of the
+result the exact integer numerator over p^(n+1).  The Legendre point-count
+route provides an independent value for the 2F1 case.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, isqrt
 
 from ._primes import is_prime
 from .modforms import legendre_trace
 from .sequences import ResidueClass, fraction_mod, harmonic
-
-_EPS = 2.3e-16  # one ulp of double arithmetic, used per tracked operation
-
-
-class PrecisionError(ArithmeticError):
-    """Tracked floating error too large to round a character sum safely."""
 
 
 @dataclass(frozen=True)
@@ -54,17 +48,18 @@ def _factorize(n: int) -> list[int]:
     return out
 
 
+def _element_of_order(n: int, m: int) -> int:
+    """The first g^((m-1)/n), g = 2, 3, ..., of order exactly n mod the prime m."""
+    prime_factors = _factorize(n)
+    candidates = (pow(g, (m - 1) // n, m) for g in range(2, m))
+    return next(w for w in candidates if all(pow(w, n // r, m) != 1 for r in prime_factors))
+
+
 def build_table(p: int) -> CharacterTable:
     """Find the least primitive root mod p and tabulate discrete logs."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    prime_factors = _factorize(p - 1)
-    g = None
-    for cand in range(2, p):
-        if all(pow(cand, (p - 1) // q, p) != 1 for q in prime_factors):
-            g = cand
-            break
-    assert g is not None
+    g = _element_of_order(p - 1, p)
     dlog = [0] * p
     acc = 1
     for e in range(p - 1):
@@ -74,48 +69,38 @@ def build_table(p: int) -> CharacterTable:
 
 
 # ---------------------------------------------------------------------------
-# Tracked complex arithmetic
+# Character values in one prime field
+#
+# chi_j(x) = zeta^(j dlog x) with zeta = zeta_(p-1).  The numerator
+# N = p^(n+1) (n+1)F(n)(x) = p/(p-1) sum_chi J_chi^(n+1) chi(x), with the Jacobi
+# sums J_chi = p C(phi chi, chi) in Z[zeta].  Expanding the J_chi and summing
+# over chi by orthogonality gives (p-1) times a character sum over F_p^(n+1),
+# so N is a rational integer; each |J_chi| is sqrt(p) or 1 (Weil), so
+# |N| <= p^((n+3)/2).  For a prime q = 1 (mod p-1) and omega of order exactly
+# p-1 in F_q, zeta -> omega is a ring map Z[zeta] -> F_q, and q > 2 p^(7/2)
+# makes the symmetric lift of N mod q equal to N for every n <= 4.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Tracked:
-    value: complex
-    err: float
-
-    def __add__(self, other: "_Tracked") -> "_Tracked":
-        v = self.value + other.value
-        return _Tracked(v, self.err + other.err + _EPS * abs(v))
-
-    def __mul__(self, other: "_Tracked") -> "_Tracked":
-        v = self.value * other.value
-        err = (
-            abs(self.value) * other.err
-            + abs(other.value) * self.err
-            + self.err * other.err
-            + _EPS * abs(v)
-        )
-        return _Tracked(v, err)
-
-    def scale(self, c: float) -> "_Tracked":
-        v = self.value * c
-        return _Tracked(v, self.err * abs(c) + _EPS * abs(v))
-
-
-def _roots_of_unity(order: int) -> list[_Tracked]:
-    return [_Tracked(cmath.exp(2j * cmath.pi * t / order), 2 * _EPS) for t in range(order)]
+def _character_field(p: int) -> tuple[int, list[int]]:
+    """A prime q = 1 (mod p-1) above 2 p^(7/2), and omega^t for t < p-1."""
+    order = p - 1
+    q = (2 * isqrt(p**7) // order + 1) * order + 1
+    while not is_prime(q):
+        q += order
+    omega = _element_of_order(order, q)
+    powers = [1] * order
+    for t in range(1, order):
+        powers[t] = powers[t - 1] * omega % q
+    return q, powers
 
 
 def orthogonality_check(p: int, chi_index: int) -> bool:
     """Verify sum_x chi(x) = p-1 for the trivial character and 0 otherwise."""
     table = build_table(p)
-    roots = _roots_of_unity(p - 1)
-    total = _Tracked(0j, 0.0)
-    for x in range(1, p):
-        total = total + roots[table.char_exponent(chi_index, x) % (p - 1)]
+    q, powers = _character_field(p)
+    total = sum(powers[table.char_exponent(chi_index, x)] for x in range(1, p)) % q
     expected = p - 1 if chi_index % (p - 1) == 0 else 0
-    if total.err > 0.25:
-        raise PrecisionError("orthogonality sum error bound too large")
-    return abs(total.value - expected) <= total.err + 0.25
+    return total == expected
 
 
 @dataclass(frozen=True)
@@ -140,39 +125,33 @@ class HypValue:
         return hash((self.p, self.as_fraction()))
 
 
-def _phi_index(p: int) -> int:
-    return (p - 1) // 2
-
-
-def _greene_binomials(table: CharacterTable) -> list[_Tracked]:
-    """C(phi*chi, chi) for every chi, as tracked complex values.
+def _greene_binomials(table: CharacterTable, q: int, powers: list[int]) -> list[int]:
+    """Jacobi sums J_chi = p C(phi*chi, chi) mod q for every chi.
 
     C(A, B) = B(-1)/p sum_x A(x) conj(B)(1-x); terms with a zero character
     value drop out.
     """
     p = table.p
     order = p - 1
-    roots = _roots_of_unity(order)
-    phi = _phi_index(p)
-    dlog_m1 = table.dlog[p - 1]  # dlog(-1)
+    dlog = table.dlog
+    phi = order // 2
+    dlog_m1 = dlog[p - 1]  # dlog(-1)
+    # (dlog x, dlog(1-x)); x=0 kills A(x) and x=1 kills conj(B)(1-x)
+    pairs = [(dlog[x], dlog[p + 1 - x]) for x in range(2, p)]
     out = []
     for j in range(order):
-        total = _Tracked(0j, 0.0)
         a_idx = (phi + j) % order
-        for x in range(2, p):  # x=0 kills A(x); x=1 kills conj(B)(1-x)
-            e = (a_idx * table.dlog[x] - j * table.dlog[(1 - x) % p]) % order
-            total = total + roots[e]
-        sign = roots[j * dlog_m1 % order]
-        out.append((sign * total).scale(1.0 / p))
+        total = sum(powers[(a_idx * u - j * v) % order] for u, v in pairs)
+        out.append(powers[j * dlog_m1 % order] * total % q)
     return out
 
 
 def hyp_greene(p: int, n_upper: int, x: int, table: CharacterTable | None = None) -> HypValue:
     """(n+1)F(n) at x with all upper parameters quadratic and lower trivial.
 
-    Evaluates p/(p-1) sum_chi C(phi chi, chi)^(n+1) chi(x) and rounds to the
-    nearest multiple of p^-(n+1); raises PrecisionError when the tracked
-    bound crosses half that spacing.
+    Evaluates p/(p-1) sum_chi C(phi chi, chi)^(n+1) chi(x) exactly: its
+    numerator over p^(n+1) is computed in one prime field F_q and lifted
+    symmetrically, which the bound on the Jacobi sums makes exact.
     """
     if not 1 <= n_upper <= 4:
         raise ValueError("supported range is 2F1 through 5F4")
@@ -180,30 +159,17 @@ def hyp_greene(p: int, n_upper: int, x: int, table: CharacterTable | None = None
         table = build_table(p)
     p = table.p
     x %= p
-    order = p - 1
-    roots = _roots_of_unity(order)
-    binoms = _greene_binomials(table)
-    total = _Tracked(0j, 0.0)
-    for j in range(order):
+    q, powers = _character_field(p)
+    binoms = _greene_binomials(table, q, powers)
+    total = 0
+    for j in range(p - 1):
         ex = table.char_exponent(j, x)
         if ex is None:
             continue  # chi(0) = 0 for every chi, including the trivial one
-        term = binoms[j]
-        for _ in range(n_upper):
-            term = term * binoms[j]
-        total = total + term * roots[ex]
-    total = total.scale(p / (p - 1))
-
-    spacing = Fraction(1, p ** (n_upper + 1))
-    scaled = total.value.real / float(spacing)
-    numerator = round(scaled)
-    err_budget = total.err * p ** (n_upper + 1)
-    if err_budget >= 0.5 or abs(total.value.imag) > total.err:
-        raise PrecisionError(
-            f"cannot round {total.value} +/- {total.err} onto the p^-{n_upper + 1} lattice"
-        )
-    if abs(scaled - numerator) > err_budget:
-        raise PrecisionError("rounded value drifts outside the tracked bound")
+        total += pow(binoms[j], n_upper + 1, q) * powers[ex]
+    numerator = p * pow(p - 1, -1, q) * total % q
+    if numerator > q // 2:
+        numerator -= q
     return HypValue(numerator, n_upper + 1, p)
 
 
@@ -263,8 +229,6 @@ def truncated_2f1_mod_p2(p: int, lam: int) -> ResidueClass:
     (p+1) sum_j C(m,j) C(m+j,j) (-1)^j (1 + 2jp (H_{m+j} - H_j)) omega(lambda)^j
     with m = (p-1)/2 and omega the multiplicative lift mod p^2.
     """
-    from math import comb
-
     if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")
     lam %= p

@@ -20,6 +20,7 @@ from ._primes import is_prime
 USE_NUMBA = False
 
 _BATCH = 1 << 17
+_LEGENDRE_ROWS = 256  # lambdas per block: memory stays O(256 p), not O(p^2)
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +130,17 @@ def legendre_traces(p: int) -> np.ndarray:
     """Traces a(p, lambda) for lambda = 2..p-1 (Hasse bound asserted)."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    qr = np.zeros(p, dtype=np.int8)
+    phi = np.full(p, -1, dtype=np.int8)
     x = np.arange(1, p, dtype=np.int64)
-    qr[(x * x) % p] = 1
+    phi[(x * x) % p] = 1
+    phi[0] = 0
     xs = np.arange(p, dtype=np.int64)
-    lams = np.arange(2, p, dtype=np.int64)
-    f = (xs * (xs - 1))[None, :] * (xs[None, :] - lams[:, None]) % p
-    phi = np.where(f == 0, 0, np.where(qr[f] == 1, 1, -1))
-    traces = -phi.sum(axis=1)
+    base = xs * (xs - 1) % p
+    traces = np.empty(p - 2, dtype=np.int64)
+    for lo in range(2, p, _LEGENDRE_ROWS):
+        lams = np.arange(lo, min(lo + _LEGENDRE_ROWS, p), dtype=np.int64)
+        f = base[None, :] * (xs[None, :] - lams[:, None]) % p
+        traces[lo - 2 : lo - 2 + lams.size] = -phi[f].sum(axis=1, dtype=np.int64)
     if traces.size and int(np.max(traces * traces)) > 4 * p:
         raise AssertionError(f"Hasse bound violated at p={p}")
     return traces

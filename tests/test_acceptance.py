@@ -193,7 +193,7 @@ def test_criterion_10_lemma_suite():
 
 
 def test_criterion_11_hypergeometric_identities():
-    with criterion(11, "2F1 identities and the truncated mod p^2 congruence, p<60, no precision failures"):
+    with criterion(11, "2F1 identities and the truncated mod p^2 congruence, p<60, exact in F_q"):
         for p in odd_primes_in(3, 60):
             table = build_table(p)
             # special value p 2F1(1) = -phi(-1)

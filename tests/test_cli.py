@@ -112,18 +112,16 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
     assert failures["failures"][0]["id"] == "THM2"
 
 
-def test_modform_table_csv(tmp_path, capsys):
-    code, stdout, _ = run_main(
-        ["modform", "--pmax", "30", "--format", "csv", "--cache-dir", str(tmp_path)], capsys
-    )
+def test_modform_table_csv(capsys):
+    code, stdout, _ = run_main(["modform", "--pmax", "30", "--format", "csv"], capsys)
     assert code == 0
     lines = stdout.strip().splitlines()
     assert lines[0].startswith("p,gamma3_cm")
     assert all(line.endswith("True") for line in lines[1:])
 
 
-def test_hyper_identity_matrix(tmp_path, capsys):
-    code, stdout, _ = run_main(["hyper", "--p", "13", "--cache-dir", str(tmp_path)], capsys)
+def test_hyper_identity_matrix(capsys):
+    code, stdout, _ = run_main(["hyper", "--p", "13"], capsys)
     assert code == 0
     rows = [json.loads(line) for line in stdout.strip().splitlines()]
     assert len(rows) == 12  # lambda = 2..12 plus the special value row
@@ -218,3 +216,11 @@ def test_out_rejected_where_nothing_is_written(argv, tmp_path, monkeypatch, caps
     assert exc.value.code == 2
     assert "--out" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["hyper", "--p", "5"], ["modform", "--pmax", "10"]])
+def test_cache_dir_rejected_where_no_catalog_is_opened(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--cache-dir" in capsys.readouterr().err

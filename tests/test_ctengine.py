@@ -209,6 +209,16 @@ def test_catalog_version_bump_invalidates(tmp_path, monkeypatch):
     assert fresh.entries == {}
 
 
+def test_corrupt_catalog_raises_and_keeps_file(tmp_path):
+    # Loading a broken file as an empty catalog would let the next save
+    # overwrite whatever the user had.
+    path = tmp_path / "catalog.json"
+    path.write_text("{")
+    with pytest.raises(ValueError, match="catalog.json"):
+        Catalog(path)
+    assert path.read_bytes() == b"{"
+
+
 def test_catalog_write_is_atomic_and_roundtrips(tmp_path):
     path = tmp_path / "catalog.json"
     catalog = Catalog(path)

@@ -5,7 +5,6 @@ import pytest
 from cellform._primes import odd_primes_in
 from cellform.ffhyper import (
     HypValue,
-    PrecisionError,
     _phi,
     build_table,
     hyp2f1_exact,
@@ -16,6 +15,7 @@ from cellform.ffhyper import (
     truncated_2f1_mod_p2,
     truncated_2f1_reference,
 )
+from cellform.modforms import ETA4_2Z_4Z, eta_qexp, gamma_cm
 
 
 # ---------------------------------------------------------------------------
@@ -97,24 +97,45 @@ def test_transformation_law_worked_example():
     assert hyp_greene(5, 1, 2).as_fraction() == (-1) * hyp2f1_exact(5, 3).as_fraction()
 
 
+# 5F4 numerators over p^5 at x = 1, 2, p-1, computed independently with
+# complex floats under a tracked error bound
+FIVE_F_FOUR = {
+    5: [100, -95, -105],
+    7: [0, 217, -553],
+    13: [-3900, 377, -1313],
+    101: [221796, 990305, -2969097],
+}
+
+
 def test_higher_hypergeometric_values_land_on_lattice():
-    # headroom path: 3F2 .. 5F4 evaluate without precision failures
-    for p in (5, 7, 13):
+    for p in (5, 7, 13, 101):
         table = build_table(p)
         for n_upper in (2, 3, 4):
             for x in (1, 2, p - 1):
                 value = hyp_greene(p, n_upper, x, table)
                 assert value.p_power == n_upper + 1
+        assert [hyp_greene(p, 4, x, table).numerator for x in (1, 2, p - 1)] == FIVE_F_FOUR[p]
     with pytest.raises(ValueError):
         hyp_greene(5, 5, 1)
 
 
-def test_greene_precision_guard(monkeypatch):
-    import cellform.ffhyper as ff
+@pytest.mark.parametrize("p", odd_primes_in(3, 60) + [2017])
+def test_special_values_match_modular_coefficients(p):
+    # Ono: p^2 3F2(1) is the weight-3 CM coefficient; Ahlgren-Ono: p^3 4F3(1)
+    # is -b(p) - p for the weight-4 eta product eta(2z)^4 eta(4z)^4.
+    table = build_table(p)
+    assert p**2 * hyp_greene(p, 2, 1, table).as_fraction() == gamma_cm(3, p)
+    b = eta_qexp(ETA4_2Z_4Z, p)
+    assert p**3 * hyp_greene(p, 3, 1, table).as_fraction() == -b[p] - p
 
-    monkeypatch.setattr(ff, "_EPS", 1e-2)
-    with pytest.raises(PrecisionError):
-        hyp_greene(13, 1, 2)
+
+def test_five_f_four_exact_past_two_thousand():
+    # Beyond double precision: the p^-5 lattice spacing is below 1e-16 here.
+    # The numerator is p times a character sum and at most p^(7/2) in size.
+    p = 2017
+    value = hyp_greene(p, 4, 1)
+    assert value.p_power == 5
+    assert value.numerator % p == 0 and value.numerator**2 <= p**7
 
 
 # ---------------------------------------------------------------------------

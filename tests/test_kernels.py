@@ -29,7 +29,7 @@ def test_canonical_key_paths_agree(n):
         assert kernels.decode_key(int(key), n) == canonical_configuration(tuple(row)).sigma
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 13, 101])
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 101, 521])  # 521 crosses a 256-row block
 def test_legendre_paths_agree(p):
     traces = kernels.legendre_traces(p)
     assert traces.tolist() == [legendre_trace(p, lam) for lam in range(2, p)]
