@@ -37,6 +37,7 @@ from .sequences import (
     a_sigma8,
     apery_a,
     apery_b,
+    apery_values,
     harmonic,
     lemma_suite,
     rising_factorial,

@@ -5,7 +5,7 @@ convergence flag, interval model, dual's canonical string, and computed terms
 (held as decimal strings so files stay portable and diff-able).  Writes go
 through a temp file and an atomic rename, so concurrent readers see either
 the old or the new catalog, never a torn one.  A version bump invalidates
-cached terms wholesale; a file that is not valid JSON raises instead.
+cached terms wholesale; a malformed file raises instead, naming its path.
 """
 from __future__ import annotations
 
@@ -81,10 +81,15 @@ class Catalog:
         except json.JSONDecodeError as exc:
             # Starting empty here would let the next save overwrite the file.
             raise ValueError(f"corrupt catalog {self.path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValueError(f"corrupt catalog {self.path}: not a JSON object")
         if data.get("engine") != self.ENGINE_VERSION:
             return  # stale engine: start fresh, the next save overwrites
-        for sigma, entry in data.get("entries", {}).items():
-            self.entries[sigma] = CatalogEntry.from_json(sigma, entry)
+        try:
+            for sigma, entry in data.get("entries", {}).items():
+                self.entries[sigma] = CatalogEntry.from_json(sigma, entry)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"corrupt catalog {self.path}: {type(exc).__name__}: {exc}") from exc
 
     def save(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,7 +32,6 @@ from .congruences import (
 from .ctengine import leading_coefficients, linear_form_model
 from .ffhyper import (
     _phi,
-    build_table,
     hyp2f1_exact,
     hyp_greene,
     phi_at_minus_one,
@@ -180,11 +178,10 @@ def cmd_modform(args) -> int:
 
 def cmd_hyper(args) -> int:
     p = args.p
-    table = build_table(p)
     emitter = _Emitter(args.format, args.out)
     ok = True
     for lam in range(2, p):
-        greene = hyp_greene(p, 1, lam, table)
+        greene = hyp_greene(p, 1, lam)
         exact = hyp2f1_exact(p, lam)
         inv = pow(lam, -1, p)
         transform_ok = exact.as_fraction() == _phi(p, lam) * hyp2f1_exact(p, inv).as_fraction()
@@ -202,7 +199,7 @@ def cmd_hyper(args) -> int:
                 "pass": row_ok,
             }
         )
-    special = hyp_greene(p, 1, 1, table).as_fraction() * p == -phi_at_minus_one(p)
+    special = hyp_greene(p, 1, 1).as_fraction() * p == -phi_at_minus_one(p)
     ok &= special
     emitter.emit({"p": p, "lambda": 1, "special_value": special, "pass": bool(special)})
     emitter.close()
@@ -213,24 +210,13 @@ def _report_rows(report: CongruenceReport) -> list[dict]:
     return [case.to_json() for case in report.cases]
 
 
-def _thm1_worker(args):
-    l, p_max = args
-    return _report_rows(verify_thm1(l, p_max))
-
-
 def cmd_verify(args) -> int:
     emitter = _Emitter(args.format, args.out)
     statement = args.statement
     rows: list[dict] = []
     if statement == "thm1":
-        ls = list(range(1, args.l + 1)) if args.all_l else [args.l]
-        if args.jobs > 1 and len(ls) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                for chunk in pool.map(_thm1_worker, [(l, args.pmax) for l in ls]):
-                    rows.extend(chunk)
-        else:
-            for l in ls:
-                rows.extend(_report_rows(verify_thm1(l, args.pmax)))
+        for l in range(1, args.l + 1) if args.all_l else [args.l]:
+            rows.extend(_report_rows(verify_thm1(l, args.pmax)))
     elif statement == "thm2":
         rows = _report_rows(verify_thm2(args.pmax))
     elif statement == "ahlgren":
@@ -316,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="enumerate configurations of this size (conj1)")
     p.add_argument("--sigma", help="single configuration (conj1)")
     common(p, out=True, fmt=True)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (thm1 --all-l)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("modform", help="coefficient table with per-source agreement")

@@ -14,7 +14,7 @@ from .catalog import Catalog
 from .configurations import Configuration, canonical_configuration, format_configuration
 from .ctengine import leading_coefficients
 from .modforms import ETA4_2Z_4Z, ETA6_4Z, eta_qexp, gamma_cm, gamma_eta12_pointcount
-from .sequences import a_sigma8, apery_a, apery_b
+from .sequences import a_sigma8, apery_values
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,20 @@ def _case(statement, params, lhs, rhs, modulus) -> CongruenceCase:
     return CongruenceCase(statement, tuple(params), lhs, rhs, modulus)
 
 
+def _half(p_max: int) -> int:
+    """The largest (p-1)/2 over odd p <= p_max, or 0."""
+    return max(p_max - 1, 0) // 2
+
+
 def verify_thm1(l: int, p_max: int) -> CongruenceReport:
     """a((p-1)/2)^l against the weight 2l+1 CM coefficient, mod p^2, p >= 5."""
     if l < 1:
         raise ValueError("l must be >= 1")
     k = 2 * l + 1
+    a = apery_values("a", _half(p_max))
     report = CongruenceReport()
     for p in odd_primes_in(5, p_max + 1):
-        lhs = apery_a((p - 1) // 2) ** l
+        lhs = pow(a[(p - 1) // 2], l, p * p)
         rhs = gamma_cm(k, p)
         report.add(_case("THM1", [("l", l), ("p", p)], lhs, rhs, p * p))
     return report
@@ -93,18 +99,20 @@ def verify_thm2(p_max: int) -> CongruenceReport:
 def verify_ahlgren(p_max: int) -> CongruenceReport:
     """a((p-1)/2) against the weight-3 eta-product coefficient, p >= 5."""
     series = eta_qexp(ETA6_4Z, p_max)
+    a = apery_values("a", _half(p_max))
     report = CongruenceReport()
     for p in odd_primes_in(5, p_max + 1):
-        report.add(_case("AHLGREN", [("p", p)], apery_a((p - 1) // 2), series[p], p * p))
+        report.add(_case("AHLGREN", [("p", p)], a[(p - 1) // 2], series[p], p * p))
     return report
 
 
 def verify_beukers(p_max: int) -> CongruenceReport:
     """b((p-1)/2) against the weight-4 eta-product coefficient, odd p."""
     series = eta_qexp(ETA4_2Z_4Z, p_max)
+    b = apery_values("b", _half(p_max))
     report = CongruenceReport()
     for p in odd_primes_in(3, p_max + 1):
-        report.add(_case("BEUKERS", [("p", p)], apery_b((p - 1) // 2), series[p], p * p))
+        report.add(_case("BEUKERS", [("p", p)], b[(p - 1) // 2], series[p], p * p))
     return report
 
 
@@ -116,13 +124,13 @@ def verify_coster(which: str, p: int, m: int, r: int) -> CongruenceCase:
         raise ValueError("p must be a prime >= 5")
     if m < 1 or r < 1:
         raise ValueError("m and r must be >= 1")
-    f = apery_a if which == "a" else apery_b
+    f = apery_values(which, m * p**r)
     statement = "COSTER_A" if which == "a" else "COSTER_B"
     return _case(
         statement,
         [("p", p), ("m", m), ("r", r)],
-        f(m * p**r),
-        f(m * p ** (r - 1)),
+        f[m * p**r],
+        f[m * p ** (r - 1)],
         p ** (3 * r),
     )
 

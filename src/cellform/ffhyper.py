@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, isqrt
 
 from ._primes import is_prime
@@ -146,7 +147,18 @@ def _greene_binomials(table: CharacterTable, q: int, powers: list[int]) -> list[
     return out
 
 
-def hyp_greene(p: int, n_upper: int, x: int, table: CharacterTable | None = None) -> HypValue:
+@lru_cache(maxsize=1)
+def _jacobi_sums(p: int) -> tuple[CharacterTable, int, tuple[int, ...], tuple[int, ...]]:
+    """(table, q, omega powers, Jacobi sums) for p, kept for the last p only.
+
+    Building them costs O(p^2); every Greene sum at the same p reuses them.
+    """
+    table = build_table(p)
+    q, powers = _character_field(p)
+    return table, q, tuple(powers), tuple(_greene_binomials(table, q, powers))
+
+
+def hyp_greene(p: int, n_upper: int, x: int) -> HypValue:
     """(n+1)F(n) at x with all upper parameters quadratic and lower trivial.
 
     Evaluates p/(p-1) sum_chi C(phi chi, chi)^(n+1) chi(x) exactly: its
@@ -155,12 +167,8 @@ def hyp_greene(p: int, n_upper: int, x: int, table: CharacterTable | None = None
     """
     if not 1 <= n_upper <= 4:
         raise ValueError("supported range is 2F1 through 5F4")
-    if table is None:
-        table = build_table(p)
-    p = table.p
+    table, q, powers, binoms = _jacobi_sums(p)
     x %= p
-    q, powers = _character_field(p)
-    binoms = _greene_binomials(table, q, powers)
     total = 0
     for j in range(p - 1):
         ex = table.char_exponent(j, x)

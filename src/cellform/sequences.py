@@ -1,9 +1,12 @@
 """Closed-form binomial sequences, exact residue arithmetic, and the
 elementary congruence checkers that back the supercongruence proofs.
 
-Everything is computed by direct summation in exact integer or residue
-arithmetic: the checks here serve as test oracles, so they stay independent
-of clever identities.
+`apery_a` and `apery_b` are the direct binomial sums: they define the two
+Apery sequences and serve as test oracles.  The verifiers evaluate them with
+`apery_values`, one pass of the three-term recurrence with every division
+checked to be exact.  `a_sigma8` squares one packed big integer.  The lemma
+checks are direct sums in exact integer or residue arithmetic, so they stay
+independent of clever identities.
 """
 from __future__ import annotations
 
@@ -28,17 +31,47 @@ def apery_b(n: int) -> int:
     return sum(comb(n, k) ** 2 * comb(n + k, k) ** 2 for k in range(n + 1))
 
 
+def apery_values(which: str, n_max: int) -> list[int]:
+    """[u(0), ..., u(n_max)] for u = apery_a ("a") or apery_b ("b"), in one
+    pass of Apery's three-term recurrence; every division is checked exact."""
+    if which not in ("a", "b"):
+        raise ValueError("which must be 'a' or 'b'")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    values = [1]
+    prev, cur = 0, 1
+    for n in range(n_max):
+        if which == "a":  # (n+1)^2 u+ = (11n^2+11n+3) u + n^2 u-
+            num, den = (11 * n * n + 11 * n + 3) * cur + n * n * prev, (n + 1) ** 2
+        else:  # (n+1)^3 u+ = (34n^3+51n^2+27n+5) u - n^3 u-
+            num, den = (34 * n**3 + 51 * n * n + 27 * n + 5) * cur - n**3 * prev, (n + 1) ** 3
+        nxt, rem = divmod(num, den)
+        if rem:
+            raise ArithmeticError(f"apery_values({which!r}): inexact division at n={n}")
+        values.append(nxt)
+        prev, cur = cur, nxt
+    return values
+
+
 def a_sigma8(n: int) -> int:
     """Constrained quadruple sum over k_i <= n with k1+k2 = k3+k4 of
-    prod C(n,k_i) C(n+k_i,k_i); grouped through one self-convolution."""
+    prod C(n,k_i) C(n+k_i,k_i) = sum_s conv(s)^2, conv the self-convolution
+    of c_k = C(n,k) C(n+k,k).
+
+    conv is read off one big-integer square (Kronecker substitution): the c_k
+    go into byte-aligned slots wide enough for any entry of conv, at most
+    (n+1) max(c)^2, so no slot carries into the next.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     c = [comb(n, k) * comb(n + k, k) for k in range(n + 1)]
-    conv = [0] * (2 * n + 1)
-    for i, ci in enumerate(c):
-        for j, cj in enumerate(c):
-            conv[i + j] += ci * cj
-    return sum(x * x for x in conv)
+    width = (2 * max(c).bit_length() + (n + 1).bit_length() + 7) // 8
+    packed = int.from_bytes(b"".join(ck.to_bytes(width, "little") for ck in c), "little")
+    square = (packed * packed).to_bytes((2 * n + 1) * width, "little")
+    return sum(
+        int.from_bytes(square[i : i + width], "little") ** 2
+        for i in range(0, len(square), width)
+    )
 
 
 @dataclass(frozen=True)

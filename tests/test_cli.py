@@ -179,18 +179,23 @@ def test_cache_dir_env_override(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "envcache" / "catalog.json").exists()
 
 
-def test_verify_thm1_parallel_matches_serial(tmp_path, capsys):
-    serial_code, serial_out, _ = run_main(
-        ["verify", "thm1", "--pmax", "60", "--l", "2", "--all-l", "--cache-dir", str(tmp_path)],
-        capsys,
-    )
-    parallel_code, parallel_out, _ = run_main(
-        ["verify", "thm1", "--pmax", "60", "--l", "2", "--all-l", "--jobs", "2",
-         "--cache-dir", str(tmp_path)],
-        capsys,
-    )
-    assert serial_code == parallel_code == 0
-    assert serial_out == parallel_out
+def test_verify_thm1_all_l_concatenates_single_l(tmp_path, capsys):
+    base = ["verify", "thm1", "--pmax", "60", "--cache-dir", str(tmp_path)]
+    code, all_out, _ = run_main(base + ["--l", "3", "--all-l"], capsys)
+    assert code == 0
+    singles = []
+    for l in ("1", "2", "3"):
+        code, out, _ = run_main(base + ["--l", l], capsys)
+        assert code == 0
+        singles.append(out)
+    assert all_out == "".join(singles)
+
+
+def test_verify_jobs_option_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm1", "--all-l", "--jobs", "2", "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

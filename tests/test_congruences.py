@@ -1,7 +1,9 @@
 import pytest
 
+from cellform._primes import odd_primes_in
 from cellform.configurations import canonical_configuration, enumerate_convergent
 from cellform.congruences import (
+    CongruenceCase,
     verify_ahlgren,
     verify_beukers,
     verify_conjecture1,
@@ -9,6 +11,8 @@ from cellform.congruences import (
     verify_thm1,
     verify_thm2,
 )
+from cellform.modforms import ETA4_2Z_4Z, ETA6_4Z, eta_qexp, gamma_cm
+from cellform.sequences import apery_a, apery_b
 
 SIGMA7 = (1, 3, 7, 5, 2, 6, 4)
 SIGMA8 = (8, 3, 6, 1, 4, 7, 2, 5)
@@ -88,3 +92,31 @@ def test_reports_are_reproducible():
     first = [case.to_json() for case in verify_thm2(50).cases]
     second = [case.to_json() for case in verify_thm2(50).cases]
     assert first == second
+
+
+def test_closed_form_verifiers_match_direct_sums():
+    # Reports rebuilt here from the direct binomial sums, prime by prime.
+    def rows(cases):
+        return [c.to_json() for c in cases]
+
+    p_max = 199
+    eta6, eta4 = eta_qexp(ETA6_4Z, p_max), eta_qexp(ETA4_2Z_4Z, p_max)
+    thm1 = [
+        CongruenceCase("THM1", (("l", 4), ("p", p)), apery_a((p - 1) // 2) ** 4, gamma_cm(9, p), p * p)
+        for p in odd_primes_in(5, p_max + 1)
+    ]
+    ahlgren = [
+        CongruenceCase("AHLGREN", (("p", p),), apery_a((p - 1) // 2), eta6[p], p * p)
+        for p in odd_primes_in(5, p_max + 1)
+    ]
+    beukers = [
+        CongruenceCase("BEUKERS", (("p", p),), apery_b((p - 1) // 2), eta4[p], p * p)
+        for p in odd_primes_in(3, p_max + 1)
+    ]
+    assert rows(verify_thm1(4, p_max).cases) == rows(thm1)
+    assert rows(verify_ahlgren(p_max).cases) == rows(ahlgren)
+    assert rows(verify_beukers(p_max).cases) == rows(beukers)
+    params = (("p", 5), ("m", 1), ("r", 2))
+    for which, direct in (("a", apery_a), ("b", apery_b)):
+        expected = CongruenceCase(f"COSTER_{which.upper()}", params, direct(25), direct(5), 5**6)
+        assert verify_coster(which, 5, 1, 2).to_json() == expected.to_json()

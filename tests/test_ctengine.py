@@ -219,6 +219,22 @@ def test_corrupt_catalog_raises_and_keeps_file(tmp_path):
     assert path.read_bytes() == b"{"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",  # valid JSON, but not an object
+        '{"engine": "%s", "entries": {"1,3,5,2,4": {"convergent": true}}}' % Catalog.ENGINE_VERSION,
+    ],
+    ids=["not_an_object", "entry_without_n_points"],
+)
+def test_malformed_catalog_raises_and_keeps_file(tmp_path, text):
+    path = tmp_path / "catalog.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="corrupt catalog .*catalog.json"):
+        Catalog(path)
+    assert path.read_text() == text
+
+
 def test_catalog_write_is_atomic_and_roundtrips(tmp_path):
     path = tmp_path / "catalog.json"
     catalog = Catalog(path)

@@ -9,6 +9,7 @@ from cellform.sequences import (
     a_sigma8,
     apery_a,
     apery_b,
+    apery_values,
     fraction_mod,
     harmonic,
     lemma_suite,
@@ -21,6 +22,19 @@ def test_apery_values():
     assert apery_a(1) == 3 and apery_b(1) == 5
     assert apery_a(2) == 19 and apery_b(2) == 73
     assert apery_a(3) == 147
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 300])
+@pytest.mark.parametrize("which, direct", [("a", apery_a), ("b", apery_b)])
+def test_apery_values_match_direct_sums(which, direct, n_max):
+    assert apery_values(which, n_max) == [direct(k) for k in range(n_max + 1)]
+
+
+def test_apery_values_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        apery_values("c", 5)
+    with pytest.raises(ValueError):
+        apery_values("a", -1)
 
 
 def test_a_sigma8_initial_terms():
@@ -47,6 +61,20 @@ def test_a_sigma8_matches_direct_quadruple_sum():
 
     for n in range(7):
         assert a_sigma8(n) == direct(n)
+
+
+def test_a_sigma8_matches_double_loop_convolution():
+    # oracle: the self-convolution of c_k = C(n,k) C(n+k,k) term by term
+    def double_loop(n):
+        c = [comb(n, k) * comb(n + k, k) for k in range(n + 1)]
+        conv = [0] * (2 * n + 1)
+        for i, ci in enumerate(c):
+            for j, cj in enumerate(c):
+                conv[i + j] += ci * cj
+        return sum(x * x for x in conv)
+
+    for n in range(201):
+        assert a_sigma8(n) == double_loop(n)
 
 
 def test_rising_factorial():
