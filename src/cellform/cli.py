@@ -3,8 +3,9 @@
 Verification output is one JSON object per line ({id, params, lhs, rhs,
 modulus, pass}) or CSV rows with --format csv.  The exit code is 0 only when
 every requested check passes; otherwise a machine-readable failure list goes
-to stderr.  When --out is given, a run manifest (command, parameters, engine
-version, wall time, output checksum) is written next to the output file.
+to stderr (exit 1).  Input the library rejects exits 2 with one stderr line.
+When --out is given, a run manifest (command, parameters, engine version,
+wall time, output checksum) is written next to the output file.
 """
 from __future__ import annotations
 
@@ -329,7 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
-    code = args.func(args)
+    try:
+        code = args.func(args)
+    except ValueError as exc:  # bad input; exit 1 stays reserved for failed checks
+        print(f"cellform {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     if getattr(args, "out", None):
         params = {
             k: v

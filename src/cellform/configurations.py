@@ -85,6 +85,14 @@ def parse_configuration(text: str) -> Configuration:
     return canonical_configuration(int(t) for t in text.strip().split(","))
 
 
+def _double_coset(seq: tuple[int, ...]):
+    """Every rho1 o sigma o rho2, repeats included: value maps over seat images."""
+    vmaps = _value_maps(len(seq))
+    for image in dihedral_images(seq):
+        for vm in vmaps:
+            yield tuple(vm[x] for x in image)
+
+
 def canonical_configuration(sigma) -> Configuration:
     """Canonical double-coset representative of [id, sigma].
 
@@ -92,15 +100,7 @@ def canonical_configuration(sigma) -> Configuration:
     rho2 (seat rotation/reflection); equal configurations map to equal outputs.
     """
     seq = _check_permutation(sigma)
-    n = len(seq)
-    vmaps = _value_maps(n)
-    best = None
-    for image in dihedral_images(seq):
-        for vm in vmaps:
-            cand = tuple(vm[x] for x in image)
-            if best is None or cand < best:
-                best = cand
-    return Configuration(n, best)
+    return Configuration(len(seq), min(_double_coset(seq)))
 
 
 def _as_sigma(c) -> tuple[int, ...]:
@@ -109,10 +109,7 @@ def _as_sigma(c) -> tuple[int, ...]:
 
 def coset_images(sigma) -> list[tuple[int, ...]]:
     """All distinct representatives rho1 o sigma o rho2 of the double coset."""
-    seq = _as_sigma(sigma)
-    vmaps = _value_maps(len(seq))
-    out = {tuple(vm[x] for x in image) for image in dihedral_images(seq) for vm in vmaps}
-    return sorted(out)
+    return sorted(set(_double_coset(_as_sigma(sigma))))
 
 
 def inverse_permutation(seq: tuple[int, ...]) -> tuple[int, ...]:
@@ -134,7 +131,7 @@ def is_convergent(sigma) -> bool:
     Windows of sigma are grown one seat at a time while counting runs of
     cyclically-adjacent values; a window blocks when one run remains.
     """
-    seq = _as_sigma(sigma) if isinstance(sigma, Configuration) else _check_permutation(sigma)
+    seq = _as_sigma(sigma)
     n = len(seq)
     if n < 5:
         raise ValueError("convergence is defined for N >= 5")
@@ -293,18 +290,14 @@ def enumerate_convergent(n: int) -> EnumerationResult:
     if n < 5:
         raise ValueError("enumeration needs N >= 5")
     survivors = kernels.convergent_permutations(n)
-    keys = np.unique(kernels.canonical_keys(survivors)) if len(survivors) else np.array([], dtype=np.int64)
+    keys = np.unique(kernels.canonical_keys(survivors))
     configs = [Configuration(n, kernels.decode_key(int(k), n)) for k in keys]
-    seen: set[tuple[int, ...]] = set()
-    pairs = 0
-    for c in configs:
-        if c.sigma in seen:
-            continue
-        d = dual(c).sigma
-        seen.add(c.sigma)
-        seen.add(d)
-        pairs += 1
-    return EnumerationResult(n, configs, len(configs), pairs)
+    # A dual pair counts once and a self-dual class once: the dual of each
+    # class is the canonical key of its inverse permutation.
+    sigmas = np.array([c.sigma for c in configs], dtype=np.int64).reshape(-1, n)
+    dual_keys = kernels.canonical_keys(np.argsort(sigmas, axis=1) + 1)
+    self_dual = int(np.count_nonzero(dual_keys == keys))
+    return EnumerationResult(n, configs, len(configs), (len(configs) + self_dual) // 2)
 
 
 def enumerate_convergent_reference(n: int) -> list[Configuration]:

@@ -8,7 +8,8 @@ then the coefficient of (x_1...x_d)^n in the n-th power of that product,
 extracted exactly by an interval sweep: factors are consumed sorted by left
 endpoint, exponents are capped at n, and a variable is projected out with its
 exponent pinned to n as soon as its last covering factor has been consumed.
-All coefficients are arbitrary-precision integers.
+All coefficients are arbitrary-precision integers.  The model swept is the
+cheapest one given by the 2N seat images of a class's representative.
 """
 from __future__ import annotations
 
@@ -19,10 +20,10 @@ from .catalog import Catalog
 from .configurations import (
     Configuration,
     canonical_configuration,
-    coset_images,
+    dihedral_images,
     format_configuration,
     is_convergent,
-    _check_permutation,
+    _as_sigma,
 )
 
 
@@ -32,11 +33,10 @@ class ModelError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntervalFormProduct:
-    """Multiset of integer intervals standing for prod x_{a,b}, sign informational."""
+    """Multiset of integer intervals standing for prod x_{a,b}."""
 
     n_vars: int
     factors: tuple[tuple[int, int], ...]
-    sign: int = 1
 
     def __post_init__(self):
         if len(self.factors) != self.n_vars:
@@ -54,7 +54,32 @@ class IntervalFormProduct:
 class SequenceRecord:
     config: Configuration
     terms: list[int]
-    provenance: str
+
+
+def _convergent_sigma(sigma) -> tuple[int, ...]:
+    seq = _as_sigma(sigma)
+    if not is_convergent(seq):
+        raise ValueError(f"not a convergent permutation: {seq}")
+    return seq
+
+
+def _interval_model(seq: tuple[int, ...]) -> IntervalFormProduct:
+    """Interval model of a permutation already known to be convergent."""
+    n = len(seq)
+    inv = [0] * (n + 1)
+    for i, v in enumerate(seq):
+        inv[v] = i + 1
+    v_inf = seq[-1]
+    intervals = []
+    for j in range(1, n + 1):
+        jn = j % n + 1
+        if j == v_inf or jn == v_inf:
+            continue
+        a, b = inv[j], inv[jn]
+        if a > b:
+            a, b = b, a
+        intervals.append((a, b - 1))
+    return IntervalFormProduct(n - 2, tuple(sorted(intervals)))
 
 
 def linear_form_model(sigma) -> IntervalFormProduct:
@@ -66,31 +91,7 @@ def linear_form_model(sigma) -> IntervalFormProduct:
     dropped denominator factors tends to 1), and each surviving numerator
     factor z_j - z_{j+1} is +/- one interval sum.
     """
-    seq = sigma.sigma if isinstance(sigma, Configuration) else _check_permutation(sigma)
-    n = len(seq)
-    if n < 5:
-        raise ValueError("models need N >= 5")
-    if not is_convergent(seq):
-        raise ValueError(f"not a convergent permutation: {seq}")
-    d = n - 2
-    inv = [0] * (n + 1)
-    for i, v in enumerate(seq):
-        inv[v] = i + 1
-    v_inf = seq[-1]
-    sign = 1
-    intervals = []
-    for j in range(1, n + 1):
-        jn = j % n + 1
-        if j == v_inf or jn == v_inf:
-            continue
-        a, b = inv[j], inv[jn]
-        if a > b:
-            a, b = b, a
-            sign = -sign
-        intervals.append((a, b - 1))
-    if len(intervals) != d:
-        raise ModelError("expected N-2 surviving numerator factors")
-    return IntervalFormProduct(d, tuple(sorted(intervals)), sign)
+    return _interval_model(_convergent_sigma(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +179,19 @@ def _closing_multiply(state, active, fvars, closing, n):
     return acc, new_active
 
 
+def _last_cover(factors) -> dict[int, int]:
+    """Closing schedule: index of the last factor covering each variable."""
+    return {v: i for i, (a, b) in enumerate(factors) for v in range(a, b + 1)}
+
+
 def constant_term(model: IntervalFormProduct, n: int) -> int:
     """Coefficient of (x_1...x_d)^n in the n-th power of the interval product."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1
-    d = model.n_vars
     factors = sorted(model.factors)
-    last = {}
-    for i, (a, b) in enumerate(factors):
-        for v in range(a, b + 1):
-            last[v] = i
+    last = _last_cover(factors)
 
     # terms maps packed exponent keys (base n+1 digits, one per variable of
     # active, every digit <= n) to integer coefficients; once a variable's last
@@ -219,10 +221,7 @@ def constant_term(model: IntervalFormProduct, n: int) -> int:
 def _sweep_cost(factors: tuple[tuple[int, int], ...]) -> tuple:
     """Proxy for sweep cost: window widths as the factors are consumed."""
     factors = sorted(factors)
-    last = {}
-    for i, (a, b) in enumerate(factors):
-        for v in range(a, b + 1):
-            last[v] = i
+    last = _last_cover(factors)
     open_vars: set[int] = set()
     widths = []
     for i, (a, b) in enumerate(factors):
@@ -236,15 +235,13 @@ def best_model(c: Configuration) -> IntervalFormProduct:
     """Cheapest-to-sweep model among the dihedral representatives of c.
 
     The constant term does not depend on the representative (tested as a
-    package invariant), so the narrowest sweep window is used.
+    package invariant), so the narrowest sweep window is used.  Only the 2N
+    seat images count: a dihedral relabelling of the values permutes the
+    cyclic pairs (j, j+1) and moves v_inf with them, and it leaves the seat
+    positions alone, so the interval set is the same.
     """
-    best = None
-    for image in coset_images(c.sigma):
-        m = linear_form_model(image)
-        key = _sweep_cost(m.factors) + (m.factors,)
-        if best is None or key < best[0]:
-            best = (key, m)
-    return best[1]
+    models = map(_interval_model, dihedral_images(_convergent_sigma(c)))
+    return min(models, key=lambda m: (*_sweep_cost(m.factors), m.factors))
 
 
 def leading_coefficients(c, n_max: int, catalog: Catalog | None = None) -> SequenceRecord:
@@ -252,7 +249,6 @@ def leading_coefficients(c, n_max: int, catalog: Catalog | None = None) -> Seque
     config = c if isinstance(c, Configuration) else canonical_configuration(c)
     key = format_configuration(config)
     terms: list[int] = []
-    model = None
     if catalog is not None:
         cached = catalog.get_terms(key)
         if cached is not None:
@@ -263,4 +259,4 @@ def leading_coefficients(c, n_max: int, catalog: Catalog | None = None) -> Seque
             terms.append(constant_term(model, n))
         if catalog is not None:
             catalog.store(config, model.factors, terms)
-    return SequenceRecord(config, terms[: n_max + 1], Catalog.ENGINE_VERSION)
+    return SequenceRecord(config, terms[: n_max + 1])

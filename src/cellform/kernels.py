@@ -95,6 +95,8 @@ def _dihedral_maps(n: int) -> np.ndarray:
 
 def _encode(batch: np.ndarray) -> np.ndarray:
     n = batch.shape[1]
+    if (n + 1) ** n > np.iinfo(np.int64).max:
+        raise ValueError(f"canonical keys of N={n} points overflow int64; N <= 15 is supported")
     weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return batch @ weights
 

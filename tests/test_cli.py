@@ -229,3 +229,25 @@ def test_cache_dir_rejected_where_no_catalog_is_opened(command, tmp_path, capsys
         main(command + ["--cache-dir", str(tmp_path)])
     assert exc.value.code == 2
     assert "--cache-dir" in capsys.readouterr().err
+
+
+@pytest.mark.usefixtures("checkout_env")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hyper", "--p", "9"], "cellform hyper: error: p must be an odd prime, got 9"),
+        (["verify", "thm1", "--l", "0"], "cellform verify: error: l must be >= 1"),
+    ],
+    ids=["hyper_p9", "verify_thm1_l0"],
+)
+def test_bad_input_exits_2_with_one_line(argv, message, tmp_path):
+    # Exit 1 means a disproved congruence; rejected input must not look like one.
+    out = subprocess.run(
+        [sys.executable, "-m", "cellform.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == [message]
+    assert out.stdout == ""

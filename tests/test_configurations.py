@@ -267,6 +267,7 @@ def test_enumeration_counts_match_table():
 def test_enumeration_dual_identified_counts():
     assert enumerate_convergent(7).count_dual_identified == 3
     assert enumerate_convergent(8).count_dual_identified == 10
+    assert enumerate_convergent(9).count_dual_identified == 58
 
 
 def test_enumeration_n6_unique_configuration():

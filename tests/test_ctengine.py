@@ -17,6 +17,7 @@ from cellform.configurations import (
 from cellform.ctengine import (
     IntervalFormProduct,
     ModelError,
+    _sweep_cost,
     best_model,
     constant_term,
     leading_coefficients,
@@ -249,6 +250,37 @@ def test_best_model_is_equivalent(shared_catalog):
     c = canonical_configuration(SIGMA8)
     model = best_model(c)
     assert [constant_term(model, n) for n in range(3)] == [1, 33, 8929]
+
+
+def _best_over_double_coset(c):
+    """The search best_model used to make: every double-coset image, each checked."""
+    best = None
+    for image in coset_images(c.sigma):
+        m = linear_form_model(image)
+        key = _sweep_cost(m.factors) + (m.factors,)
+        if best is None or key < best[0]:
+            best = (key, m)
+    return best[1]
+
+
+def test_best_model_matches_double_coset_search():
+    for n in (5, 6, 7, 8, 9):
+        for c in enumerate_convergent(n).configurations:
+            assert best_model(c) == _best_over_double_coset(c), c
+
+
+def test_seat_images_give_every_double_coset_model():
+    # Relabelling values dihedrally leaves the interval model unchanged.
+    for n in (5, 6, 7, 8):
+        for c in enumerate_convergent(n).configurations:
+            over_coset = {linear_form_model(image) for image in coset_images(c.sigma)}
+            over_seats = {linear_form_model(image) for image in dihedral_images(c.sigma)}
+            assert over_coset == over_seats, c
+
+
+def test_best_model_rejects_nonconvergent():
+    with pytest.raises(ValueError, match="not a convergent permutation"):
+        best_model(canonical_configuration((1, 2, 3, 4, 5)))
 
 
 def test_star_product_multiplies_coefficients(shared_catalog):

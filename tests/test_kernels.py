@@ -54,3 +54,16 @@ def test_decode_key_inverts_encoding():
     keys = kernels._encode(batch)
     for row, key in zip(batch, keys):
         assert kernels.decode_key(int(key), 5) == tuple(row)
+
+
+def test_canonical_keys_reject_overflowing_n():
+    # 17**16 > 2**63: the identity of length 16 used to come back negative.
+    with pytest.raises(ValueError, match="N=16"):
+        kernels.canonical_keys(np.arange(1, 17, dtype=np.int64)[None, :])
+
+
+def test_length_15_key_roundtrips():
+    row = np.array([[1, 3, 5, 7, 9, 11, 13, 15, 2, 4, 6, 8, 10, 12, 14]], dtype=np.int64)
+    assert kernels.decode_key(int(kernels._encode(row)[0]), 15) == tuple(row[0])
+    key = int(kernels.canonical_keys(row)[0])
+    assert kernels.decode_key(key, 15) == canonical_configuration(tuple(row[0])).sigma
