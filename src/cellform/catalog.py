@@ -114,34 +114,27 @@ class Catalog:
             return None
         return [int(t) for t in entry.terms]
 
-    def store(self, config, intervals, terms: list[int]) -> None:
+    def _put(self, config, convergent: bool, intervals, terms=()) -> None:
+        """Build, validate and insert the entry of config, its dual included."""
         from .configurations import dual, format_configuration
 
-        key = format_configuration(config)
         entry = CatalogEntry(
-            sigma=key,
+            sigma=format_configuration(config),
             n_points=config.n_points,
-            convergent=True,
+            convergent=convergent,
             intervals=[tuple(iv) for iv in intervals],
             terms=[str(t) for t in terms],
             dual=format_configuration(dual(config)),
         )
         entry.validate()
-        self.entries[key] = entry
+        self.entries[entry.sigma] = entry
+
+    def store(self, config, intervals, terms: list[int]) -> None:
+        self._put(config, True, intervals, terms)
         self.save()
 
     def add_configuration(self, config, convergent: bool, intervals=()) -> None:
-        from .configurations import dual, format_configuration
+        from .configurations import format_configuration
 
-        key = format_configuration(config)
-        if key in self.entries:
-            return
-        entry = CatalogEntry(
-            sigma=key,
-            n_points=config.n_points,
-            convergent=convergent,
-            intervals=[tuple(iv) for iv in intervals],
-            dual=format_configuration(dual(config)),
-        )
-        entry.validate()
-        self.entries[key] = entry
+        if format_configuration(config) not in self.entries:
+            self._put(config, convergent, intervals)

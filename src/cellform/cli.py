@@ -30,7 +30,7 @@ from .congruences import (
     verify_thm1,
     verify_thm2,
 )
-from .ctengine import leading_coefficients, linear_form_model
+from .ctengine import best_model, leading_coefficients
 from .ffhyper import (
     _phi,
     hyp2f1_exact,
@@ -111,7 +111,7 @@ def cmd_enumerate(args) -> int:
     result = enumerate_convergent(args.n)
     catalog = Catalog(args.out) if args.out else _open_catalog(args)
     for config in result.configurations:
-        catalog.add_configuration(config, True, linear_form_model(config).factors)
+        catalog.add_configuration(config, True, best_model(config).factors)
     catalog.save()
     print(
         f"N={args.n}: {result.count} convergent configurations "
@@ -132,8 +132,6 @@ _SEQUENCES = {"a": apery_a, "b": apery_b, "sigma8": a_sigma8}
 
 
 def cmd_fit(args) -> int:
-    if not args.sequence and not args.sigma:
-        raise SystemExit("fit needs --sequence or --sigma")
     if args.sequence:
         seq = [_SEQUENCES[args.sequence](n) for n in range(args.terms + 1)]
         label = args.sequence
@@ -234,7 +232,7 @@ def cmd_verify(args) -> int:
         elif args.n:
             configs = enumerate_convergent(args.n).configurations
         else:
-            raise SystemExit("conj1 needs --sigma or --n")
+            raise ValueError("conj1 needs --sigma or --n")
         for config in configs:
             rows.append(verify_conjecture1(config, args.p, args.m, args.r, catalog).to_json())
     elif statement == "lemmas":
@@ -316,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hyper)
 
     p = sub.add_parser("fit", help="fit a polynomial-coefficient recurrence")
-    p.add_argument("--sequence", choices=tuple(_SEQUENCES))
-    p.add_argument("--sigma", help="configuration whose coefficients to fit")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--sequence", choices=tuple(_SEQUENCES))
+    source.add_argument("--sigma", help="configuration whose coefficients to fit")
     p.add_argument("--terms", type=int, default=120)
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--degree", type=int, default=15)

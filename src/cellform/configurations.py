@@ -85,22 +85,15 @@ def parse_configuration(text: str) -> Configuration:
     return canonical_configuration(int(t) for t in text.strip().split(","))
 
 
-def _double_coset(seq: tuple[int, ...]):
-    """Every rho1 o sigma o rho2, repeats included: value maps over seat images."""
-    vmaps = _value_maps(len(seq))
-    for image in dihedral_images(seq):
-        for vm in vmaps:
-            yield tuple(vm[x] for x in image)
-
-
 def canonical_configuration(sigma) -> Configuration:
-    """Canonical double-coset representative of [id, sigma].
-
-    Minimizes rho1 o sigma o rho2 over dihedral rho1 (value relabeling) and
-    rho2 (seat rotation/reflection); equal configurations map to equal outputs.
-    """
+    """Canonical double-coset representative of [id, sigma]: the least
+    rho1 o sigma o rho2 over dihedral value maps rho1 and seat maps rho2."""
     seq = _check_permutation(sigma)
-    return Configuration(len(seq), min(_double_coset(seq)))
+    n = len(seq)
+    # The least image starts with 1: per seat image s only the value rotation and
+    # reflection sending s[0] to 1 can win, 4N candidates (as in canonical_keys).
+    return Configuration(n, min(tuple(e * (v - s[0]) % n + 1 for v in s)
+                                for s in dihedral_images(seq) for e in (1, -1)))
 
 
 def _as_sigma(c) -> tuple[int, ...]:
@@ -108,8 +101,11 @@ def _as_sigma(c) -> tuple[int, ...]:
 
 
 def coset_images(sigma) -> list[tuple[int, ...]]:
-    """All distinct representatives rho1 o sigma o rho2 of the double coset."""
-    return sorted(set(_double_coset(_as_sigma(sigma))))
+    """All distinct rho1 o sigma o rho2, every value map over every seat image:
+    the brute-force oracle for canonical_configuration and canonical_keys."""
+    seq = _as_sigma(sigma)
+    vmaps = _value_maps(len(seq))
+    return sorted({tuple(vm[x] for x in s) for s in dihedral_images(seq) for vm in vmaps})
 
 
 def inverse_permutation(seq: tuple[int, ...]) -> tuple[int, ...]:
@@ -289,6 +285,7 @@ def enumerate_convergent(n: int) -> EnumerationResult:
     """
     if n < 5:
         raise ValueError("enumeration needs N >= 5")
+    kernels._check_key_width(n)  # before the (N-1)! scan, not after it
     survivors = kernels.convergent_permutations(n)
     keys = np.unique(kernels.canonical_keys(survivors))
     configs = [Configuration(n, kernels.decode_key(int(k), n)) for k in keys]

@@ -98,20 +98,25 @@ def linear_form_model(sigma) -> IntervalFormProduct:
 # Constant-term sweep
 # ---------------------------------------------------------------------------
 
+def _linear_pass(state, weights, n):
+    """Multiply the state once by the sum of the variables at the given digit
+    weights, dropping every term whose exponent would pass the cap n."""
+    base = n + 1
+    new = {}
+    get = new.get
+    for key, coef in state.items():
+        for w in weights:
+            if (key // w) % base < n:
+                k2 = key + w
+                new[k2] = get(k2, 0) + coef
+    return new
+
+
 def _linear_multiplies(state, active, fvars, n):
     """Multiply the state by (x_a + ... + x_b)^n as n capped linear passes."""
-    base = n + 1
-    idx = {v: j for j, v in enumerate(active)}
-    weights = [base ** idx[v] for v in fvars]
+    weights = [(n + 1) ** active.index(v) for v in fvars]
     for _ in range(n):
-        new = {}
-        get = new.get
-        for key, coef in state.items():
-            for w in weights:
-                if (key // w) % base < n:
-                    k2 = key + w
-                    new[k2] = get(k2, 0) + coef
-        state = new
+        state = _linear_pass(state, weights, n)
     return state
 
 
@@ -166,14 +171,7 @@ def _closing_multiply(state, active, fvars, closing, n):
     acc: dict[int, int] = {}
     for r in range(max(buckets, default=0), -1, -1):
         if acc:
-            new = {}
-            get = new.get
-            for key, coef in acc.items():
-                for w in open_w:
-                    if (key // w) % base < n:
-                        k2 = key + w
-                        new[k2] = get(k2, 0) + coef
-            acc = new
+            acc = _linear_pass(acc, open_w, n)
         for key, coef in buckets.get(r, {}).items():
             acc[key] = acc.get(key, 0) + coef
     return acc, new_active
@@ -245,7 +243,14 @@ def best_model(c: Configuration) -> IntervalFormProduct:
 
 
 def leading_coefficients(c, n_max: int, catalog: Catalog | None = None) -> SequenceRecord:
-    """Terms J(0..n_max) for a convergent configuration, cache-backed."""
+    """Terms J(0..n_max) for a convergent configuration, cache-backed.
+
+    Only terms are read from the catalog; the model is searched again, since the
+    file comes from outside the program and an ``IntervalFormProduct`` cannot
+    tell when a stored model belongs to another class.
+    """
+    if n_max < 0:
+        raise ValueError(f"the term count must be nonnegative, got {n_max}")
     config = c if isinstance(c, Configuration) else canonical_configuration(c)
     key = format_configuration(config)
     terms: list[int] = []

@@ -5,7 +5,8 @@ convergence during enumeration, canonicalizing the survivors under the
 two-sided dihedral action, and counting points on the Legendre curves over
 F_p.  Each has one vectorized implementation here; the plain-Python oracles
 they are tested against are ``configurations.is_convergent``,
-``configurations.canonical_configuration`` and ``modforms.legendre_trace``.
+``configurations.coset_images`` (whose least element is the canonical key) and
+``modforms.legendre_trace``.
 Everything involving arbitrary-precision integers lives elsewhere.
 """
 from __future__ import annotations
@@ -79,8 +80,9 @@ def convergent_permutations(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Batch canonicalization under the two-sided dihedral action
 #
-# Candidates rho1 o sigma o rho2 are compared through a base-(N+1) integer
-# encoding, whose numeric order is the lexicographic order on sequences.
+# The 4N candidates of configurations.canonical_configuration are compared
+# through a base-(N+1) integer encoding, whose numeric order is the
+# lexicographic order on sequences.
 # ---------------------------------------------------------------------------
 
 def _dihedral_maps(n: int) -> np.ndarray:
@@ -93,10 +95,14 @@ def _dihedral_maps(n: int) -> np.ndarray:
     return maps
 
 
-def _encode(batch: np.ndarray) -> np.ndarray:
-    n = batch.shape[1]
+def _check_key_width(n: int) -> None:
     if (n + 1) ** n > np.iinfo(np.int64).max:
         raise ValueError(f"canonical keys of N={n} points overflow int64; N <= 15 is supported")
+
+
+def _encode(batch: np.ndarray) -> np.ndarray:
+    n = batch.shape[1]
+    _check_key_width(n)
     weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return batch @ weights
 
@@ -104,14 +110,13 @@ def _encode(batch: np.ndarray) -> np.ndarray:
 def canonical_keys(batch: np.ndarray) -> np.ndarray:
     """Per-row canonical double-coset key (encoded canonical sequence)."""
     batch = np.ascontiguousarray(batch, dtype=np.int64)
-    maps = _dihedral_maps(batch.shape[1])
+    n = batch.shape[1]
     best = np.full(batch.shape[0], np.iinfo(np.int64).max, dtype=np.int64)
-    for a in range(maps.shape[0]):
-        relabel = maps[a] + 1
-        vals = relabel[batch - 1]
-        for b in range(maps.shape[0]):
-            key = _encode(vals[:, maps[b]])
-            np.minimum(best, key, out=best)
+    for seat_map in _dihedral_maps(n):
+        seats = batch[:, seat_map]
+        shift = seats - seats[:, :1]
+        for image in (shift % n + 1, -shift % n + 1):
+            np.minimum(best, _encode(image), out=best)
     return best
 
 

@@ -144,17 +144,16 @@ def fit(seq, order: int, degree: int) -> PolyRecurrence | None:
         raise ValueError(f"need at least {needed} terms, got {len(seq)}")
     n_rows = len(seq) - order
 
-    def build_rows(reduce_mod=None):
+    def build_rows(p):
         rows = []
         for n in range(n_rows):
             row = []
             for j in range(order + 1):
-                s = seq[n + j]
-                val = s if reduce_mod is None else s % reduce_mod
+                val = seq[n + j] % p
                 npow = 1
                 for _ in range(degree + 1):
-                    row.append(val * npow if reduce_mod is None else val * npow % reduce_mod)
-                    npow = npow * n if reduce_mod is None else npow * n % reduce_mod
+                    row.append(val * npow % p)
+                    npow = npow * n % p
             rows.append(row)
         return rows
 

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from cellform.cli import main
+from cellform.configurations import parse_configuration
+from cellform.ctengine import best_model
 
 
 def run_main(argv, capsys):
@@ -34,12 +36,22 @@ def test_enumerate_n7_count(tmp_path, capsys):
 
 
 def test_enumerate_n9_count(tmp_path, capsys):
-    out = tmp_path / "n9.json"
+    out = tmp_path / "catalog.json"
     code, _, _ = run_main(["enumerate", "--n", "9", "--out", str(out)], capsys)
     assert code == 0
     entries = json.loads(out.read_text())["entries"]
     assert len(entries) == 105
     assert all(len(e["intervals"]) == 7 for e in entries.values())
+    # intervals is the best model, whether or not terms were ever computed
+    for key, e in entries.items():
+        assert e["intervals"] == [list(iv) for iv in best_model(parse_configuration(key)).factors]
+    computed = sorted(entries)[:3]
+    for key in computed:
+        argv = ["coeffs", "--sigma", key, "--terms", "2", "--cache-dir", str(tmp_path)]
+        assert run_main(argv, capsys)[0] == 0
+    after = json.loads(out.read_text())["entries"]
+    assert all(len(after[key]["terms"]) == 3 for key in computed)
+    assert {k: e["intervals"] for k, e in after.items()} == {k: e["intervals"] for k, e in entries.items()}
 
 
 def test_coeffs_sigma8(tmp_path, capsys):
@@ -134,6 +146,22 @@ def test_fit_subcommand(tmp_path, capsys):
     )
     assert code == 0
     assert "order 2, degree 2" in stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit"], "one of the arguments --sequence --sigma is required"),
+        (["fit", "--sequence", "a", "--sigma", "1,3,5,2,4"], "not allowed with argument"),
+    ],
+    ids=["neither", "both"],
+)
+def test_fit_needs_exactly_one_source(argv, message, capsys):
+    # Exit 2 like any argument error; both sources used to drop --sigma silently.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_fit_sigma8_via_cli(capsys):
@@ -237,8 +265,16 @@ def test_cache_dir_rejected_where_no_catalog_is_opened(command, tmp_path, capsys
     [
         (["hyper", "--p", "9"], "cellform hyper: error: p must be an odd prime, got 9"),
         (["verify", "thm1", "--l", "0"], "cellform verify: error: l must be >= 1"),
+        (
+            ["verify", "conj1", "--cache-dir", "."],
+            "cellform verify: error: conj1 needs --sigma or --n",
+        ),
+        (
+            ["coeffs", "--sigma", "1,3,5,2,4", "--terms", "-1", "--cache-dir", "."],
+            "cellform coeffs: error: the term count must be nonnegative, got -1",
+        ),
     ],
-    ids=["hyper_p9", "verify_thm1_l0"],
+    ids=["hyper_p9", "verify_thm1_l0", "verify_conj1_no_source", "coeffs_negative_terms"],
 )
 def test_bad_input_exits_2_with_one_line(argv, message, tmp_path):
     # Exit 1 means a disproved congruence; rejected input must not look like one.

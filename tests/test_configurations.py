@@ -148,6 +148,21 @@ def test_configuration_equality_via_canonical_reps():
         assert canonical_configuration(image) == base
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_canonical_configuration_matches_coset_oracle_exhaustive(n):
+    for perm in itertools.permutations(range(1, n + 1)):
+        assert canonical_configuration(perm).sigma == min(coset_images(perm)), perm
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11])
+def test_canonical_configuration_matches_coset_oracle_sampled(n):
+    rng = random.Random(1412 + n)
+    for _ in range(60):
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        assert canonical_configuration(perm).sigma == min(coset_images(perm)), perm
+
+
 def test_dual_examples():
     s8 = canonical_configuration(SIGMA8)
     assert dual(s8) == s8  # self-dual
@@ -285,6 +300,18 @@ def test_enumeration_matches_reference():
 def test_enumeration_rejects_small_n():
     with pytest.raises(ValueError):
         enumerate_convergent(4)
+
+
+def test_enumeration_rejects_overflowing_n_before_scanning(monkeypatch):
+    # The key guard used to fire only after the scan of (N-1)! rows.
+    from cellform import kernels
+
+    def no_scan(n):
+        raise AssertionError("scanned permutations before rejecting N")
+
+    monkeypatch.setattr(kernels, "convergent_permutations", no_scan)
+    with pytest.raises(ValueError, match="N=16"):
+        enumerate_convergent(16)
 
 
 def test_configuration_string_roundtrip():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cellform import kernels
-from cellform.configurations import canonical_configuration, is_convergent
+from cellform.configurations import canonical_configuration, coset_images, is_convergent
 from cellform.modforms import legendre_trace
 
 
@@ -24,9 +24,12 @@ def test_convergence_paths_agree(n):
 def test_canonical_key_paths_agree(n):
     batch = _perm_batch(n)[:720]
     keys = kernels.canonical_keys(batch)
-    # keys decode to the canonical double-coset representative
+    # keys decode to the canonical double-coset representative, the least
+    # element of the brute-force double coset
     for row, key in zip(batch, keys):
-        assert kernels.decode_key(int(key), n) == canonical_configuration(tuple(row)).sigma
+        decoded = kernels.decode_key(int(key), n)
+        assert decoded == canonical_configuration(tuple(row)).sigma
+        assert decoded == min(coset_images(tuple(row)))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 101, 521])  # 521 crosses a 256-row block
