@@ -1,17 +1,36 @@
 """Persistent catalog of configurations and their cached coefficient terms.
 
-One JSON file maps canonical configuration strings to their point count,
-convergence flag, interval model, dual's canonical string, and computed terms
-(held as decimal strings so files stay portable and diff-able).  Writes go
-through a temp file and an atomic rename, so concurrent readers see either
-the old or the new catalog, never a torn one.  A version bump invalidates
-cached terms wholesale; a malformed file raises instead, naming its path.
+A catalog is a snapshot file plus an append-only journal beside it.  The
+snapshot is one JSON object mapping canonical configuration strings to their
+point count, convergence flag, interval model, dual's canonical string and
+computed terms (held as decimal strings so files stay portable and
+diff-able), written one entry per line under a header that carries the
+engine version and a sha256 of the lines below it.
+
+- ``store`` appends one JSON line (engine, sigma, entry, sha256 of the entry)
+  to ``<snapshot>.journal`` under an exclusive ``flock``; nothing else is
+  written.
+- Loading reads the snapshot and replays the journal under a shared lock on
+  the journal, which is truncated in place and never replaced, so a
+  compaction cannot slip between the two reads.
+- ``save`` compacts under the exclusive lock: it re-reads both files,
+  overlays the entries this instance added, replaces the snapshot atomically
+  (temp file and rename) and truncates the journal.  Another process's
+  stores and compactions are never lost.
+
+A torn last journal line, left by a crash during an append, is dropped with a
+warning.  A digest mismatch or a malformed file raises, naming the file (and
+the sigma for a journal line).  A version bump invalidates cached terms
+wholesale, journal lines included.
 """
 from __future__ import annotations
 
+import fcntl
+import hashlib
 import json
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,8 +80,16 @@ class CatalogEntry:
         )
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _entry_digest(sigma: str, data: dict) -> str:
+    return hashlib.sha256(_dumps([sigma, data]).encode()).hexdigest()
+
+
 class Catalog:
-    """Single-file JSON catalog with atomic replacement on write."""
+    """Snapshot plus append-only journal; see the module docstring."""
 
     ENGINE_VERSION = "cellform-ct-1"
 
@@ -70,43 +97,132 @@ class Catalog:
         if path is None:
             path = default_cache_dir() / "catalog.json"
         self.path = Path(path)
-        self.entries: dict[str, CatalogEntry] = {}
-        self._load()
-
-    def _load(self) -> None:
-        if not self.path.exists():
+        self.journal = self.path.with_name(self.path.name + ".journal")
+        self._added: set[str] = set()  # added since load or save, on disk only after save()
+        self._stored = False  # journal lines appended since load or save
+        try:
+            fd = os.open(self.journal, os.O_RDONLY)
+        except FileNotFoundError:
+            # Nothing was ever stored or saved through a journal here, so no
+            # compaction can be under way: the snapshot alone is the catalog.
+            self.entries = self._read_snapshot()
             return
         try:
-            data = json.loads(self.path.read_text())
-        except json.JSONDecodeError as exc:
-            # Starting empty here would let the next save overwrite the file.
-            raise ValueError(f"corrupt catalog {self.path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValueError(f"corrupt catalog {self.path}: not a JSON object")
-        if data.get("engine") != self.ENGINE_VERSION:
-            return  # stale engine: start fresh, the next save overwrites
+            fcntl.flock(fd, fcntl.LOCK_SH)
+            self.entries = self._read(fd)
+        finally:
+            os.close(fd)
+
+    @property
+    def unsaved(self) -> bool:
+        """True when this instance changed entries since it loaded or saved."""
+        return self._stored or bool(self._added)
+
+    # -- reading -----------------------------------------------------------
+    # Anything malformed raises naming the file: starting empty instead would
+    # let the next save overwrite it.
+
+    def _read_snapshot(self) -> dict[str, CatalogEntry]:
         try:
-            for sigma, entry in data.get("entries", {}).items():
-                self.entries[sigma] = CatalogEntry.from_json(sigma, entry)
+            raw = self.path.read_bytes()
+        except FileNotFoundError:
+            return {}
+        try:
+            data = json.loads(raw)
+            if not isinstance(data, dict):
+                raise TypeError("not a JSON object")
+            if data.get("engine") != self.ENGINE_VERSION:
+                return {}  # stale engine: start fresh, the next save overwrites
+            if "sha256" in data and hashlib.sha256(raw[raw.find(b"\n") + 1 :]).hexdigest() != data["sha256"]:
+                raise ValueError("entries do not match their sha256")
+            return {sigma: CatalogEntry.from_json(sigma, e) for sigma, e in data.get("entries", {}).items()}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corrupt catalog {self.path}: {type(exc).__name__}: {exc}") from exc
 
-    def save(self) -> None:
+    def _read(self, fd: int) -> dict[str, CatalogEntry]:
+        """Snapshot overlaid with the journal; the caller holds a lock on fd."""
+        entries = self._read_snapshot()
+        lines = os.pread(fd, os.fstat(fd).st_size, 0).split(b"\n")
+        if lines[-1]:
+            warnings.warn(f"catalog {self.journal}: dropped a torn last line")
+        for line in lines[:-1]:
+            try:
+                record = json.loads(line)
+                if record["engine"] != self.ENGINE_VERSION:
+                    continue
+                sigma = record["sigma"]
+                if _entry_digest(sigma, record["entry"]) != record["sha256"]:
+                    raise ValueError(f"entry for {sigma} does not match its sha256")
+                entries[sigma] = CatalogEntry.from_json(sigma, record["entry"])
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"corrupt catalog {self.journal}: {type(exc).__name__}: {exc}") from exc
+        return entries
+
+    # -- writing -----------------------------------------------------------
+
+    def _lock(self) -> int:
+        """Open (creating) the journal for appending and lock it exclusively."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "engine": self.ENGINE_VERSION,
-            "entries": {k: v.to_json() for k, v in sorted(self.entries.items())},
-        }
+        fd = os.open(self.journal, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        return fd
+
+    def store(self, config, intervals, terms: list[int]) -> None:
+        entry = self._put(config, True, intervals, terms)
+        data = entry.to_json()
+        line = _dumps(
+            {"engine": self.ENGINE_VERSION, "sigma": entry.sigma, "entry": data,
+             "sha256": _entry_digest(entry.sigma, data)}
+        )
+        fd = self._lock()
+        try:
+            end = os.lseek(fd, 0, os.SEEK_END)
+            if end and os.pread(fd, 1, end - 1) != b"\n":
+                # A crash left a torn line; appending to it would make a
+                # complete line that cannot be trusted.
+                warnings.warn(f"catalog {self.journal}: dropped a torn last line")
+                os.ftruncate(fd, os.pread(fd, end, 0).rfind(b"\n") + 1)
+            os.write(fd, (line + "\n").encode())
+        finally:
+            os.close(fd)
+        self._added.discard(entry.sigma)
+        self._stored = True
+
+    def save(self) -> None:
+        """Compact: merge this instance's additions into the on-disk catalog."""
+        fd = self._lock()
+        try:
+            entries = self._read(fd)
+            for sigma in self._added:
+                entries.setdefault(sigma, self.entries[sigma])  # additions never overwrite
+            self._write_snapshot(entries)
+            os.ftruncate(fd, 0)
+        finally:
+            os.close(fd)
+        self.entries = entries
+        self._added.clear()
+        self._stored = False
+
+    def _write_snapshot(self, entries: dict[str, CatalogEntry]) -> None:
+        body = ",\n".join(
+            f"{_dumps(sigma)}:{_dumps(entry.to_json())}" for sigma, entry in sorted(entries.items())
+        )
+        body = (body + "\n}}\n" if body else "}}\n").encode()
+        header = '{"engine":%s,"sha256":"%s","entries":{\n' % (
+            _dumps(self.ENGINE_VERSION),
+            hashlib.sha256(body).hexdigest(),
+        )
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=".catalog-", suffix=".json")
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=1)
-                fh.write("\n")
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(header.encode() + body)
             os.replace(tmp, self.path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+
+    # -- entries -----------------------------------------------------------
 
     def get_terms(self, sigma: str) -> list[int] | None:
         entry = self.entries.get(sigma)
@@ -114,7 +230,7 @@ class Catalog:
             return None
         return [int(t) for t in entry.terms]
 
-    def _put(self, config, convergent: bool, intervals, terms=()) -> None:
+    def _put(self, config, convergent: bool, intervals, terms=()) -> CatalogEntry:
         """Build, validate and insert the entry of config, its dual included."""
         from .configurations import dual, format_configuration
 
@@ -128,13 +244,10 @@ class Catalog:
         )
         entry.validate()
         self.entries[entry.sigma] = entry
-
-    def store(self, config, intervals, terms: list[int]) -> None:
-        self._put(config, True, intervals, terms)
-        self.save()
+        return entry
 
     def add_configuration(self, config, convergent: bool, intervals=()) -> None:
         from .configurations import format_configuration
 
         if format_configuration(config) not in self.entries:
-            self._put(config, convergent, intervals)
+            self._added.add(self._put(config, convergent, intervals).sigma)

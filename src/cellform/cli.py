@@ -103,6 +103,12 @@ def _open_catalog(args) -> Catalog:
     return Catalog(base / "catalog.json")
 
 
+def _compact(catalog: Catalog) -> None:
+    """Fold this command's journal lines into the snapshot, once per command."""
+    if catalog.unsaved:
+        catalog.save()
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -124,6 +130,7 @@ def cmd_coeffs(args) -> int:
     config = parse_configuration(args.sigma)
     catalog = _open_catalog(args)
     record = leading_coefficients(config, args.terms, catalog)
+    _compact(catalog)
     print(", ".join(str(t) for t in record.terms))
     return 0
 
@@ -137,7 +144,9 @@ def cmd_fit(args) -> int:
         label = args.sequence
     else:
         config = parse_configuration(args.sigma)
-        seq = leading_coefficients(config, args.terms, _open_catalog(args)).terms
+        catalog = _open_catalog(args)
+        seq = leading_coefficients(config, args.terms, catalog).terms
+        _compact(catalog)
         label = format_configuration(config)
     rec = fit(seq, args.order, args.degree)
     if rec is None:
@@ -210,7 +219,6 @@ def _report_rows(report: CongruenceReport) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    emitter = _Emitter(args.format, args.out)
     statement = args.statement
     rows: list[dict] = []
     if statement == "thm1":
@@ -235,6 +243,7 @@ def cmd_verify(args) -> int:
             raise ValueError("conj1 needs --sigma or --n")
         for config in configs:
             rows.append(verify_conjecture1(config, args.p, args.m, args.r, catalog).to_json())
+        _compact(catalog)
     elif statement == "lemmas":
         for p in odd_primes_in(3, args.pmax + 1):
             for name, verdict in lemma_suite(p).items():
@@ -253,6 +262,8 @@ def cmd_verify(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"unknown statement {statement}")
 
+    # Opened only now, so rejected input leaves an existing report alone.
+    emitter = _Emitter(args.format, args.out)
     for row in rows:
         emitter.emit(row)
     emitter.close()

@@ -63,8 +63,8 @@ def _convergent_sigma(sigma) -> tuple[int, ...]:
     return seq
 
 
-def _interval_model(seq: tuple[int, ...]) -> IntervalFormProduct:
-    """Interval model of a permutation already known to be convergent."""
+def _interval_factors(seq: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Sorted interval factors of a permutation already known to be convergent."""
     n = len(seq)
     inv = [0] * (n + 1)
     for i, v in enumerate(seq):
@@ -79,7 +79,7 @@ def _interval_model(seq: tuple[int, ...]) -> IntervalFormProduct:
         if a > b:
             a, b = b, a
         intervals.append((a, b - 1))
-    return IntervalFormProduct(n - 2, tuple(sorted(intervals)))
+    return tuple(sorted(intervals))
 
 
 def linear_form_model(sigma) -> IntervalFormProduct:
@@ -91,7 +91,8 @@ def linear_form_model(sigma) -> IntervalFormProduct:
     dropped denominator factors tends to 1), and each surviving numerator
     factor z_j - z_{j+1} is +/- one interval sum.
     """
-    return _interval_model(_convergent_sigma(sigma))
+    seq = _convergent_sigma(sigma)
+    return IntervalFormProduct(len(seq) - 2, _interval_factors(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +237,12 @@ def best_model(c: Configuration) -> IntervalFormProduct:
     package invariant), so the narrowest sweep window is used.  Only the 2N
     seat images count: a dihedral relabelling of the values permutes the
     cyclic pairs (j, j+1) and moves v_inf with them, and it leaves the seat
-    positions alone, so the interval set is the same.
+    positions alone, so the interval set is the same.  Only the winner is
+    built and validated as a product.
     """
-    models = map(_interval_model, dihedral_images(_convergent_sigma(c)))
-    return min(models, key=lambda m: (*_sweep_cost(m.factors), m.factors))
+    seq = _convergent_sigma(c)
+    factors = min(map(_interval_factors, dihedral_images(seq)), key=lambda f: (*_sweep_cost(f), f))
+    return IntervalFormProduct(len(seq) - 2, factors)
 
 
 def leading_coefficients(c, n_max: int, catalog: Catalog | None = None) -> SequenceRecord:

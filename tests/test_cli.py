@@ -97,6 +97,32 @@ def test_verify_conj1_by_size(tmp_path, capsys):
     assert len(rows) == 5 and all(r["pass"] for r in rows)
 
 
+def test_verify_conj1_compacts_the_catalog_once(tmp_path, capsys, monkeypatch):
+    from cellform.catalog import Catalog
+
+    saves = []
+    save = Catalog.save
+    monkeypatch.setattr(Catalog, "save", lambda self: saves.append(1) or save(self))
+    argv = ["verify", "conj1", "--n", "7", "--p", "5", "--cache-dir", str(tmp_path)]
+    assert run_main(argv, capsys)[0] == 0
+    assert len(saves) == 1
+    # The file on disk is a complete snapshot once the command returns.
+    assert (tmp_path / "catalog.json.journal").read_bytes() == b""
+    entries = json.loads((tmp_path / "catalog.json").read_text())["entries"]
+    assert len(entries) == 5 and all(len(e["terms"]) == 6 for e in entries.values())
+    assert run_main(argv, capsys)[0] == 0
+    assert len(saves) == 1  # served from the catalog: nothing stored, nothing saved
+
+
+def test_rejected_verify_input_keeps_the_report(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    out.write_text("x\n")
+    code, _, err = run_main(["verify", "thm1", "--l", "0", "--out", str(out)], capsys)
+    assert code == 2
+    assert "l must be >= 1" in err
+    assert out.read_bytes() == b"x\n"
+
+
 def test_verify_lemmas(tmp_path, capsys):
     code, stdout, _ = run_main(
         ["verify", "lemmas", "--pmax", "20", "--cache-dir", str(tmp_path)], capsys

@@ -1,4 +1,8 @@
 import itertools
+import json
+import subprocess
+import sys
+import warnings
 from collections import defaultdict
 
 import pytest
@@ -244,6 +248,145 @@ def test_catalog_write_is_atomic_and_roundtrips(tmp_path):
     key = format_configuration(record.config)
     assert again.get_terms(key) == record.terms
     assert not list(tmp_path.glob(".catalog-*"))  # no temp files left behind
+
+
+def test_catalog_store_appends_one_journal_line(tmp_path):
+    path = tmp_path / "catalog.json"
+    catalog = Catalog(path)
+    leading_coefficients(canonical_configuration(SIGMA5), 3, catalog)
+    leading_coefficients(canonical_configuration(SIGMA6), 3, catalog)
+    assert not path.exists()  # stores never rewrite the snapshot
+    assert len(catalog.journal.read_bytes().splitlines()) == 2
+    catalog.save()
+    assert catalog.journal.read_bytes() == b""
+    assert len(json.loads(path.read_text())["entries"]) == 2
+
+
+def test_catalog_reads_old_indented_snapshot(tmp_path):
+    # Catalogs written before the journal carry no digest and are indented.
+    path = tmp_path / "catalog.json"
+    key = format_configuration(canonical_configuration(SIGMA5))
+    entry = {"n_points": 5, "convergent": True, "intervals": [[1, 1], [1, 2], [2, 3]],
+             "terms": ["1", "3", "19"], "dual": key}
+    path.write_text(json.dumps({"engine": Catalog.ENGINE_VERSION, "entries": {key: entry}}, indent=1))
+    assert Catalog(path).get_terms(key) == [1, 3, 19]
+
+
+def test_opening_a_missing_catalog_creates_no_file(tmp_path):
+    catalog = Catalog(tmp_path / "sub" / "catalog.json")
+    assert catalog.entries == {}
+    assert list(tmp_path.iterdir()) == []
+
+
+_WRITER = """
+import sys
+from cellform.catalog import Catalog
+from cellform.configurations import enumerate_convergent
+from cellform.ctengine import leading_coefficients
+
+path, part = sys.argv[1], int(sys.argv[2])
+for config in enumerate_convergent(8).configurations[part::3]:
+    catalog = Catalog(path)
+    leading_coefficients(config, 2, catalog)
+    catalog.save()
+"""
+
+
+@pytest.mark.usefixtures("checkout_env")
+def test_writer_processes_lose_no_class(tmp_path):
+    # More writers than cores, each compacting after every store.
+    path = tmp_path / "catalog.json"
+    writers = [
+        subprocess.Popen([sys.executable, "-c", _WRITER, str(path), str(part)], stderr=subprocess.PIPE)
+        for part in range(3)
+    ]
+    for writer in writers:
+        _, err = writer.communicate(timeout=120)
+        assert writer.returncode == 0, err.decode()
+    configs = enumerate_convergent(8).configurations
+    stored = Catalog(path)
+    for config in configs:
+        assert len(stored.get_terms(format_configuration(config))) == 3, config
+    assert len(json.loads(path.read_text())["entries"]) == len(configs) == 17
+
+
+def test_interleaved_instances_lose_no_entry(tmp_path):
+    path = tmp_path / "catalog.json"
+    configs = enumerate_convergent(7).configurations
+    keys = [format_configuration(c) for c in configs]
+    a, b = Catalog(path), Catalog(path)
+    leading_coefficients(configs[0], 2, a)
+    leading_coefficients(configs[1], 2, b)
+    a.save()
+    assert a.get_terms(keys[1]) is not None  # the compaction read b's store
+    leading_coefficients(configs[2], 2, b)
+    a.add_configuration(configs[3], True, best_model(configs[3]).factors)
+    b.add_configuration(configs[4], True, best_model(configs[4]).factors)
+    b.add_configuration(configs[0], True, best_model(configs[0]).factors)  # present in b: no-op
+    b.save()
+    a.save()
+    merged = Catalog(path)
+    assert sorted(merged.entries) == sorted(keys)
+    assert all(len(merged.get_terms(k)) == 3 for k in keys[:3])
+    assert a.entries.keys() == merged.entries.keys()
+
+
+def test_torn_journal_line_is_dropped_with_a_warning(tmp_path):
+    path = tmp_path / "catalog.json"
+    catalog = Catalog(path)
+    leading_coefficients(canonical_configuration(SIGMA5), 3, catalog)
+    line = catalog.journal.read_bytes()
+    with open(catalog.journal, "ab") as fh:
+        fh.write(line[: len(line) // 2])  # a crash in the middle of an append
+    with pytest.warns(UserWarning, match="torn"):
+        reopened = Catalog(path)
+    assert list(reopened.entries) == [format_configuration(canonical_configuration(SIGMA5))]
+    with pytest.warns(UserWarning, match="torn"):
+        leading_coefficients(canonical_configuration(SIGMA6), 3, reopened)
+    # The next append cut the torn tail first, so the journal is whole again.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(Catalog(path).entries) == 2
+
+
+def test_edited_journal_term_raises_naming_the_sigma(tmp_path):
+    path = tmp_path / "catalog.json"
+    config = canonical_configuration(SIGMA5)
+    leading_coefficients(config, 3, Catalog(path))
+    journal = path.with_name("catalog.json.journal")
+    text = journal.read_text()
+    assert '"19"' in text
+    journal.write_text(text.replace('"19"', '"20"'))
+    key = format_configuration(config)
+    with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json\.journal: .*" + key):
+        Catalog(path)
+
+
+def test_edited_snapshot_term_raises_naming_the_file(tmp_path):
+    path = tmp_path / "catalog.json"
+    catalog = Catalog(path)
+    leading_coefficients(canonical_configuration(SIGMA5), 3, catalog)
+    catalog.save()
+    edited = path.read_text().replace('"19"', '"20"')
+    assert edited != path.read_text()
+    path.write_text(edited)
+    with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json: .*sha256"):
+        Catalog(path)
+    assert path.read_text() == edited
+
+
+def test_engine_bump_ignores_journal_lines(tmp_path, monkeypatch):
+    path = tmp_path / "catalog.json"
+    catalog = Catalog(path)
+    leading_coefficients(canonical_configuration(SIGMA5), 3, catalog)
+    catalog.save()
+    leading_coefficients(canonical_configuration(SIGMA6), 3, catalog)  # journal only
+    monkeypatch.setattr(Catalog, "ENGINE_VERSION", "cellform-ct-TEST")
+    fresh = Catalog(path)
+    assert fresh.entries == {}
+    leading_coefficients(canonical_configuration(SIGMA7), 2, fresh)
+    fresh.save()
+    assert list(Catalog(path).entries) == [format_configuration(canonical_configuration(SIGMA7))]
 
 
 def test_best_model_is_equivalent(shared_catalog):
