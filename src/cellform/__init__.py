@@ -33,7 +33,6 @@ from .ctengine import (
     linear_form_model,
 )
 from .sequences import (
-    ResidueClass,
     a_sigma8,
     apery_a,
     apery_b,
@@ -43,7 +42,6 @@ from .sequences import (
     rising_factorial,
 )
 from .modforms import (
-    CoefficientSeries,
     ETA4_2Z_4Z,
     ETA6_4Z,
     ETA12_2Z,
@@ -59,7 +57,6 @@ from .modforms import (
 )
 from .ffhyper import (
     CharacterTable,
-    HypValue,
     build_table,
     hyp2f1_exact,
     hyp_greene,

@@ -195,7 +195,7 @@ class Catalog:
             entries = self._read(fd)
             for sigma in self._added:
                 entries.setdefault(sigma, self.entries[sigma])  # additions never overwrite
-            self._write_snapshot(entries)
+            self._write_snapshot(entries, os.fstat(fd).st_mode & 0o777)
             os.ftruncate(fd, 0)
         finally:
             os.close(fd)
@@ -203,7 +203,9 @@ class Catalog:
         self._added.clear()
         self._stored = False
 
-    def _write_snapshot(self, entries: dict[str, CatalogEntry]) -> None:
+    def _write_snapshot(self, entries: dict[str, CatalogEntry], mode: int) -> None:
+        """Replace the snapshot atomically, with the journal's file mode
+        (mkstemp alone would leave it 0600)."""
         body = ",\n".join(
             f"{_dumps(sigma)}:{_dumps(entry.to_json())}" for sigma, entry in sorted(entries.items())
         )
@@ -215,6 +217,7 @@ class Catalog:
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=".catalog-", suffix=".json")
         try:
             with os.fdopen(fd, "wb") as fh:
+                os.fchmod(fh.fileno(), mode)
                 fh.write(header.encode() + body)
             os.replace(tmp, self.path)
         except BaseException:

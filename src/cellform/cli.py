@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -44,31 +43,24 @@ from .recfit import check_self_duality_symmetry, fit
 from .sequences import a_sigma8, apery_a, apery_b, lemma_suite
 
 
-class _Emitter:
-    """Streams result rows as JSON lines or CSV and remembers failures."""
+def _emit_rows(args, rows: list[dict]) -> list[dict]:
+    """Write finished rows to stdout or --out as JSON lines or CSV (header
+    from the first row) and return the failed ones.
 
-    def __init__(self, fmt: str, out_path: str | None):
-        self.fmt = fmt
-        self.rows: list[dict] = []
-        self.out_path = out_path
-        self._fh = open(out_path, "w") if out_path else sys.stdout
-
-    def emit(self, row: dict) -> None:
-        self.rows.append(row)
-        if self.fmt == "csv":
-            if len(self.rows) == 1:
-                print(",".join(row.keys()), file=self._fh)
-            print(",".join(_csv_cell(v) for v in row.values()), file=self._fh)
-        else:
-            print(json.dumps(row, sort_keys=True), file=self._fh)
-
-    def close(self) -> None:
-        if self.out_path:
-            self._fh.close()
-
-    @property
-    def failures(self) -> list[dict]:
-        return [r for r in self.rows if r.get("pass") is False]
+    The output is opened only after every row is computed, so input that a
+    command rejects leaves an existing report alone.
+    """
+    if args.format == "csv":
+        lines = [",".join(rows[0].keys())] if rows else []
+        lines += [",".join(_csv_cell(v) for v in row.values()) for row in rows]
+    else:
+        lines = [json.dumps(row, sort_keys=True) for row in rows]
+    text = "".join(line + "\n" for line in lines)
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return [r for r in rows if r.get("pass") is False]
 
 
 def _csv_cell(v) -> str:
@@ -78,24 +70,15 @@ def _csv_cell(v) -> str:
     return s
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    parameters: dict
-    engine_version: str
-    wall_time_s: float
-    output_sha256: str
-
-
 def _write_manifest(out_path: str, command: str, params: dict, wall: float) -> None:
-    manifest = RunManifest(
-        command=command,
-        parameters=params,
-        engine_version=f"cellform {__version__} / {Catalog.ENGINE_VERSION}",
-        wall_time_s=round(wall, 3),
-        output_sha256=hashlib.sha256(Path(out_path).read_bytes()).hexdigest(),
-    )
-    Path(out_path + ".manifest.json").write_text(json.dumps(asdict(manifest), indent=1) + "\n")
+    manifest = {
+        "command": command,
+        "parameters": params,
+        "engine_version": f"cellform {__version__} / {Catalog.ENGINE_VERSION}",
+        "wall_time_s": round(wall, 3),
+        "output_sha256": hashlib.sha256(Path(out_path).read_bytes()).hexdigest(),
+    }
+    Path(out_path + ".manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
 
 
 def _open_catalog(args) -> Catalog:
@@ -161,57 +144,47 @@ def cmd_fit(args) -> int:
 
 
 def cmd_modform(args) -> int:
-    emitter = _Emitter(args.format, args.out)
     eta6 = eta_qexp(ETA6_4Z, args.pmax)
     eta12 = eta_qexp(ETA12_2Z, args.pmax)
-    ok = True
+    rows = []
     for p in odd_primes_in(3, args.pmax + 1):
         cm3 = gamma_cm(3, p)
         pc6 = gamma_eta12_pointcount(p)
-        agree = cm3 == eta6[p] and pc6 == eta12[p]
-        ok &= agree
-        emitter.emit(
+        rows.append(
             {
                 "p": p,
                 "gamma3_cm": str(cm3),
                 "gamma3_eta": str(eta6[p]),
                 "gamma6_pointcount": str(pc6),
                 "gamma6_eta": str(eta12[p]),
-                "pass": agree,
+                "pass": cm3 == eta6[p] and pc6 == eta12[p],
             }
         )
-    emitter.close()
-    return 0 if ok else 1
+    return 1 if _emit_rows(args, rows) else 0
 
 
 def cmd_hyper(args) -> int:
     p = args.p
-    emitter = _Emitter(args.format, args.out)
-    ok = True
+    rows = []
     for lam in range(2, p):
         greene = hyp_greene(p, 1, lam)
         exact = hyp2f1_exact(p, lam)
-        inv = pow(lam, -1, p)
-        transform_ok = exact.as_fraction() == _phi(p, lam) * hyp2f1_exact(p, inv).as_fraction()
-        truncated_ok = truncated_2f1_mod_p2(p, lam).value == truncated_2f1_reference(p, lam).value
-        row_ok = greene == exact and transform_ok and truncated_ok
-        ok &= row_ok
-        emitter.emit(
+        transform_ok = exact == _phi(p, lam) * hyp2f1_exact(p, pow(lam, -1, p))
+        truncated_ok = truncated_2f1_mod_p2(p, lam) == truncated_2f1_reference(p, lam)
+        rows.append(
             {
                 "p": p,
                 "lambda": lam,
-                "greene": str(greene.as_fraction()),
-                "pointcount": str(exact.as_fraction()),
+                "greene": str(greene),
+                "pointcount": str(exact),
                 "transformation": transform_ok,
                 "truncated_mod_p2": truncated_ok,
-                "pass": row_ok,
+                "pass": greene == exact and transform_ok and truncated_ok,
             }
         )
-    special = hyp_greene(p, 1, 1).as_fraction() * p == -phi_at_minus_one(p)
-    ok &= special
-    emitter.emit({"p": p, "lambda": 1, "special_value": special, "pass": bool(special)})
-    emitter.close()
-    return 0 if ok else 1
+    special = hyp_greene(p, 1, 1) * p == -phi_at_minus_one(p)
+    rows.append({"p": p, "lambda": 1, "special_value": special, "pass": special})
+    return 1 if _emit_rows(args, rows) else 0
 
 
 def _report_rows(report: CongruenceReport) -> list[dict]:
@@ -262,13 +235,9 @@ def cmd_verify(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"unknown statement {statement}")
 
-    # Opened only now, so rejected input leaves an existing report alone.
-    emitter = _Emitter(args.format, args.out)
-    for row in rows:
-        emitter.emit(row)
-    emitter.close()
-    if emitter.failures:
-        json.dump({"failures": emitter.failures}, sys.stderr)
+    failures = _emit_rows(args, rows)
+    if failures:
+        json.dump({"failures": failures}, sys.stderr)
         sys.stderr.write("\n")
         return 1
     return 0

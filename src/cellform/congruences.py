@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from ._primes import is_prime, odd_primes_in
 from .catalog import Catalog
-from .configurations import Configuration, canonical_configuration, format_configuration
+from .configurations import Configuration, format_configuration
 from .ctengine import leading_coefficients
 from .modforms import ETA4_2Z_4Z, ETA6_4Z, eta_qexp, gamma_cm, gamma_eta12_pointcount
 from .sequences import a_sigma8, apery_values
@@ -147,11 +147,11 @@ def verify_conjecture1(
         raise ValueError("p must be a prime >= 5")
     if m < 1 or r < 1:
         raise ValueError("m and r must be >= 1")
-    config = c if isinstance(c, Configuration) else canonical_configuration(c)
-    terms = leading_coefficients(config, m * p**r, catalog).terms
+    record = leading_coefficients(c, m * p**r, catalog)
+    terms = record.terms
     return _case(
         "CONJ1",
-        [("sigma", format_configuration(config)), ("p", p), ("m", m), ("r", r)],
+        [("sigma", format_configuration(record.config)), ("p", p), ("m", m), ("r", r)],
         terms[m * p**r],
         terms[m * p ** (r - 1)],
         p ** (3 * r),

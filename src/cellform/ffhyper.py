@@ -16,7 +16,7 @@ from math import comb, isqrt
 
 from ._primes import is_prime
 from .modforms import legendre_trace
-from .sequences import ResidueClass, fraction_mod, harmonic
+from .sequences import fraction_mod, harmonic
 
 
 @dataclass(frozen=True)
@@ -104,28 +104,6 @@ def orthogonality_check(p: int, chi_index: int) -> bool:
     return total == expected
 
 
-@dataclass(frozen=True)
-class HypValue:
-    """Exact value numerator / p^p_power."""
-
-    numerator: int
-    p_power: int
-    p: int
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.p**self.p_power)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, HypValue):
-            if self.p != other.p:
-                return NotImplemented
-            return self.as_fraction() == other.as_fraction()
-        return self.as_fraction() == other
-
-    def __hash__(self):
-        return hash((self.p, self.as_fraction()))
-
-
 def _greene_binomials(table: CharacterTable, q: int, powers: list[int]) -> list[int]:
     """Jacobi sums J_chi = p C(phi*chi, chi) mod q for every chi.
 
@@ -158,7 +136,7 @@ def _jacobi_sums(p: int) -> tuple[CharacterTable, int, tuple[int, ...], tuple[in
     return table, q, tuple(powers), tuple(_greene_binomials(table, q, powers))
 
 
-def hyp_greene(p: int, n_upper: int, x: int) -> HypValue:
+def hyp_greene(p: int, n_upper: int, x: int) -> Fraction:
     """(n+1)F(n) at x with all upper parameters quadratic and lower trivial.
 
     Evaluates p/(p-1) sum_chi C(phi chi, chi)^(n+1) chi(x) exactly: its
@@ -178,33 +156,32 @@ def hyp_greene(p: int, n_upper: int, x: int) -> HypValue:
     numerator = p * pow(p - 1, -1, q) * total % q
     if numerator > q // 2:
         numerator -= q
-    return HypValue(numerator, n_upper + 1, p)
+    return Fraction(numerator, p ** (n_upper + 1))
 
 
 def phi_at_minus_one(p: int) -> int:
     return 1 if p % 4 == 1 else -1
 
 
-def hyp2f1_exact(p: int, lam: int) -> HypValue:
+def hyp2f1_exact(p: int, lam: int) -> Fraction:
     """2F1 at lambda through the elliptic point count: -phi(-1) a(p,lambda) / p."""
     lam %= p
     if lam in (0, 1):
         raise ValueError("lambda must avoid 0 and 1")
     a = legendre_trace(p, lam)
-    return HypValue(-phi_at_minus_one(p) * a, 1, p)
+    return Fraction(-phi_at_minus_one(p) * a, p)
 
 
-def teichmuller(x: int, p: int, n: int) -> ResidueClass:
-    """The multiplicative lift of x mod p to Z/p^n: x^(p^(n-1))."""
+def teichmuller(x: int, p: int, n: int) -> int:
+    """The multiplicative lift of x mod p to Z/p^n: x^(p^(n-1)) mod p^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= x < p:
         raise ValueError("x must lie in 0..p-1")
-    modulus = p**n
-    return ResidueClass(pow(x, p ** (n - 1), modulus), modulus)
+    return pow(x, p ** (n - 1), p**n)
 
 
-def truncated_2f1_reference(p: int, lam: int) -> ResidueClass:
+def truncated_2f1_reference(p: int, lam: int) -> int:
     """Exact residue the truncated sum is congruent to: -phi(-1) phi(-lam) p 2F1(1/lam).
 
     The extra phi(-1) relative to the bare -phi(-lam) p 2F1(1/lam) lift is
@@ -220,8 +197,8 @@ def truncated_2f1_reference(p: int, lam: int) -> ResidueClass:
     if lam == 1:
         p_2f1 = -phi_at_minus_one(p)  # p * 2F1(1)
     else:
-        p_2f1 = hyp2f1_exact(p, pow(lam, -1, p)).numerator
-    return ResidueClass(sign * p_2f1, p2)
+        p_2f1 = int(p * hyp2f1_exact(p, pow(lam, -1, p)))
+    return sign * p_2f1 % p2
 
 
 def _phi(p: int, x: int) -> int:
@@ -231,7 +208,7 @@ def _phi(p: int, x: int) -> int:
     return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
 
 
-def truncated_2f1_mod_p2(p: int, lam: int) -> ResidueClass:
+def truncated_2f1_mod_p2(p: int, lam: int) -> int:
     """Truncated half-range sum congruent to -phi(-lambda) p 2F1(1/lambda) mod p^2.
 
     (p+1) sum_j C(m,j) C(m+j,j) (-1)^j (1 + 2jp (H_{m+j} - H_j)) omega(lambda)^j
@@ -244,7 +221,7 @@ def truncated_2f1_mod_p2(p: int, lam: int) -> ResidueClass:
         raise ValueError("lambda must be nonzero")
     p2 = p * p
     m = (p - 1) // 2
-    omega = int(teichmuller(lam, p, 2))
+    omega = teichmuller(lam, p, 2)
     total = 0
     om_pow = 1
     for j in range(m + 1):
@@ -255,4 +232,4 @@ def truncated_2f1_mod_p2(p: int, lam: int) -> ResidueClass:
             term = -term
         total = (total + term * om_pow) % p2
         om_pow = om_pow * omega % p2
-    return ResidueClass((p + 1) * total, p2)
+    return (p + 1) * total % p2

@@ -102,25 +102,10 @@ class EtaProductSpec:
             raise ValueError("leading q-power must be a positive integer")
         return total // 24
 
-    def label(self) -> str:
-        return "*".join(f"eta({m}z)^{e}" for m, e in self.factors)
-
 
 ETA12_2Z = EtaProductSpec(((2, 12),))      # weight 6, level 4
 ETA6_4Z = EtaProductSpec(((4, 6),))        # weight 3, level 16
 ETA4_2Z_4Z = EtaProductSpec(((2, 4), (4, 4)))  # weight 4, level 8
-
-
-@dataclass
-class CoefficientSeries:
-    coefficients: list[int]  # index n holds the q^n coefficient
-    source: str
-
-    def __getitem__(self, n: int) -> int:
-        return self.coefficients[n]
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
 
 
 def _euler_factor_power(scale: int, exponent: int, length: int) -> list[int]:
@@ -135,8 +120,9 @@ def _euler_factor_power(scale: int, exponent: int, length: int) -> list[int]:
     return prod
 
 
-def eta_qexp(spec: EtaProductSpec, n_max: int) -> CoefficientSeries:
-    """Exact integer q-expansion of an eta product up to q^n_max."""
+def eta_qexp(spec: EtaProductSpec, n_max: int) -> list[int]:
+    """Exact integer q-expansion of an eta product: index n holds the q^n
+    coefficient, for n up to n_max."""
     shift = spec.leading_power
     length = max(n_max + 1 - shift, 1)
     prod = [0] * length
@@ -154,7 +140,7 @@ def eta_qexp(spec: EtaProductSpec, n_max: int) -> CoefficientSeries:
     for i, a in enumerate(prod):
         if shift + i <= n_max:
             coeffs[shift + i] = a
-    return CoefficientSeries(coeffs, spec.label())
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Closed-form binomial sequences, exact residue arithmetic, and the
-elementary congruence checkers that back the supercongruence proofs.
+"""Closed-form binomial sequences, exact harmonic numbers and their residues,
+and the elementary congruence checkers that back the supercongruence proofs.
 
 `apery_a` and `apery_b` are the direct binomial sums: they define the two
 Apery sequences and serve as test oracles.  The verifiers evaluate them with
@@ -10,9 +10,8 @@ independent of clever identities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from ._primes import is_prime
 
@@ -74,67 +73,11 @@ def a_sigma8(n: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class ResidueClass:
-    """An element of Z/m with m >= 2, supporting ring arithmetic and inversion."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other) -> "ResidueClass":
-        if isinstance(other, ResidueClass):
-            if other.modulus != self.modulus:
-                raise ValueError("modulus mismatch")
-            return other
-        return ResidueClass(int(other), self.modulus)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return ResidueClass(self.value + o.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return ResidueClass(self.value - o.value, self.modulus)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return ResidueClass(self.value * o.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ResidueClass(-self.value, self.modulus)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return ResidueClass(pow(self.value, e, self.modulus), self.modulus)
-
-    def inverse(self) -> "ResidueClass":
-        return ResidueClass(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __int__(self):
-        return self.value
-
-
-def rising_factorial(a, n: int):
-    """(a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1; works for ints and residues."""
+def rising_factorial(a: int, n: int) -> int:
+    """(a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    result = a ** 0
-    for i in range(n):
-        result = result * (a + i)
-    return result
+    return prod(range(a, a + n))
 
 
 _harmonic_values = [Fraction(0)]
@@ -198,7 +141,7 @@ def _check_two_power_harmonic(p: int) -> bool:
 def _check_pochhammer_square_sum(p: int) -> bool:
     # sum_{k=0}^{p-1} (k+1)_m^2 == -1 (mod p)
     m = (p - 1) // 2
-    total = sum(int(rising_factorial(ResidueClass(k + 1, p), m)) ** 2 for k in range(p))
+    total = sum((rising_factorial(k + 1, m) % p) ** 2 for k in range(p))
     return total % p == p - 1
 
 
@@ -211,7 +154,7 @@ def _harmonic_window_residues(p: int) -> list[int]:
 def _check_harmonic_quadruple_sum(p: int) -> bool:
     # sum over k_i <= m, sum k_i = p-1 of [prod (k_i+1)_m^2] (H_{m+k4} - H_k4) == 0 (mod p)
     m = (p - 1) // 2
-    poch = [int(rising_factorial(ResidueClass(k + 1, p), m)) ** 2 % p for k in range(m + 1)]
+    poch = [rising_factorial(k + 1, m) ** 2 % p for k in range(m + 1)]
     hw = _harmonic_window_residues(p)
     total = 0
     target = p - 1
@@ -249,7 +192,7 @@ def _check_binomial_to_pochhammer(p: int) -> bool:
     m = (p - 1) // 2
     inv_mfact = pow(factorial(m) % p, -1, p)
     for k in range(m + 1):
-        poch = int(rising_factorial(ResidueClass(k + 1, p), m)) * inv_mfact % p
+        poch = rising_factorial(k + 1, m) * inv_mfact % p
         if comb(m + k, k) % p != poch:
             return False
         if comb(m, k) * comb(m + k, k) % p != (-1) ** k * poch * poch % p:

@@ -123,6 +123,15 @@ def test_rejected_verify_input_keeps_the_report(tmp_path, capsys):
     assert out.read_bytes() == b"x\n"
 
 
+def test_rejected_hyper_input_keeps_the_report(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    out.write_text("keep\n")
+    code, _, err = run_main(["hyper", "--p", "9", "--out", str(out)], capsys)
+    assert code == 2
+    assert "p must be an odd prime, got 9" in err
+    assert out.read_bytes() == b"keep\n"
+
+
 def test_verify_lemmas(tmp_path, capsys):
     code, stdout, _ = run_main(
         ["verify", "lemmas", "--pmax", "20", "--cache-dir", str(tmp_path)], capsys
@@ -164,6 +173,12 @@ def test_hyper_identity_matrix(capsys):
     rows = [json.loads(line) for line in stdout.strip().splitlines()]
     assert len(rows) == 12  # lambda = 2..12 plus the special value row
     assert all(r["pass"] for r in rows)
+    # 2F1(lambda) = -a(13, lambda) / 13 by both routes, as exact fractions.
+    expected = ["-6/13", "2/13", "2/13", "2/13", "-2/13", "6/13",
+                "-2/13", "2/13", "2/13", "2/13", "-6/13"]
+    assert [r["greene"] for r in rows[:-1]] == expected
+    assert [r["pointcount"] for r in rows[:-1]] == expected
+    assert rows[-1] == {"p": 13, "lambda": 1, "special_value": True, "pass": True}
 
 
 def test_fit_subcommand(tmp_path, capsys):

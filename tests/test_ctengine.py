@@ -1,5 +1,7 @@
 import itertools
 import json
+import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -260,6 +262,18 @@ def test_catalog_store_appends_one_journal_line(tmp_path):
     catalog.save()
     assert catalog.journal.read_bytes() == b""
     assert len(json.loads(path.read_text())["entries"]) == 2
+
+
+def test_snapshot_and_journal_share_one_file_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        catalog = Catalog(tmp_path / "catalog.json")
+        leading_coefficients(canonical_configuration(SIGMA5), 3, catalog)
+        catalog.save()
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(catalog.path.stat().st_mode) == 0o644
+    assert stat.S_IMODE(catalog.journal.stat().st_mode) == 0o644
 
 
 def test_catalog_reads_old_indented_snapshot(tmp_path):

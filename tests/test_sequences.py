@@ -5,7 +5,6 @@ import pytest
 
 from cellform._primes import odd_primes_in
 from cellform.sequences import (
-    ResidueClass,
     a_sigma8,
     apery_a,
     apery_b,
@@ -81,20 +80,9 @@ def test_rising_factorial():
     assert rising_factorial(1, 4) == 24
     assert rising_factorial(3, 2) == 12
     assert rising_factorial(7, 0) == 1
-    assert int(rising_factorial(ResidueClass(2, 5), 2)) == 1  # 2*3 mod 5
+    assert rising_factorial(2, 2) % 5 == 1  # 2*3 mod 5
     with pytest.raises(ValueError):
         rising_factorial(2, -1)
-
-
-def test_residue_class_arithmetic():
-    x = ResidueClass(7, 25)
-    assert int(x + 20) == 2
-    assert int(3 - x) == 21
-    assert int(x * x) == 24
-    assert int(x ** 2) == 24
-    assert int(x.inverse() * x) == 1
-    with pytest.raises(ValueError):
-        ResidueClass(1, 25) + ResidueClass(1, 49)
 
 
 def test_harmonic_values():
@@ -130,7 +118,7 @@ def test_lemma_suite_rejects_composites():
 
 def test_pochhammer_sum_example_p7():
     # direct value of the square sum at p = 7 is 6, i.e. -1
-    total = sum(int(rising_factorial(ResidueClass(k + 1, 7), 3)) ** 2 for k in range(7)) % 7
+    total = sum(rising_factorial(k + 1, 3) ** 2 for k in range(7)) % 7
     assert total == 6
     assert lemma_suite(7)["pochhammer_square_sum"] is True
 
