@@ -10,9 +10,12 @@ engine version and a sha256 of the lines below it.
 - ``store`` appends one JSON line (engine, sigma, entry, sha256 of the entry)
   to ``<snapshot>.journal`` under an exclusive ``flock``; nothing else is
   written.
-- Loading reads the snapshot and replays the journal under a shared lock on
-  the journal, which is truncated in place and never replaced, so a
-  compaction cannot slip between the two reads.
+- Loading checks the snapshot's sha256, indexes its entry lines by sigma
+  and replays the journal under a shared lock on the journal, which is
+  truncated in place and never replaced, so a compaction cannot slip between
+  the two reads.  An entry line is parsed and validated when it is first read
+  (``entries`` and ``save`` read them all); older snapshots without a sha256
+  are parsed whole.
 - ``save`` compacts under the exclusive lock: it re-reads both files,
   overlays the entries this instance added, replaces the snapshot atomically
   (temp file and rename) and truncates the journal.  Another process's
@@ -20,8 +23,8 @@ engine version and a sha256 of the lines below it.
 
 A torn last journal line, left by a crash during an append, is dropped with a
 warning.  A digest mismatch or a malformed file raises, naming the file (and
-the sigma for a journal line).  A version bump invalidates cached terms
-wholesale, journal lines included.
+the sigma for a journal line, or for a snapshot entry when it is read).  A
+version bump invalidates cached terms wholesale, journal lines included.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ import fcntl
 import hashlib
 import json
 import os
+import re
 import tempfile
 import warnings
 from dataclasses import dataclass, field
@@ -52,6 +56,9 @@ class CatalogEntry:
     intervals: list[tuple[int, int]] = field(default_factory=list)
     terms: list[str] = field(default_factory=list)
     dual: str = ""
+
+    def __post_init__(self) -> None:
+        self.validate()  # entries built by _put and read from disk alike
 
     def validate(self) -> None:
         if self.terms and self.terms[0] != "1":
@@ -88,6 +95,11 @@ def _entry_digest(sigma: str, data: dict) -> str:
     return hashlib.sha256(_dumps([sigma, data]).encode()).hexdigest()
 
 
+# The header and entry lines exactly as _write_snapshot writes them.
+_HEADER = re.compile(rb'\{"engine":"[^"\\]*","sha256":"[0-9a-f]{64}","entries":\{\n')
+_LINE = re.compile(rb'^"([^"\\\x00-\x1f]*)":(\{.*\}),$', re.M)
+
+
 class Catalog:
     """Snapshot plus append-only journal; see the module docstring."""
 
@@ -105,13 +117,20 @@ class Catalog:
         except FileNotFoundError:
             # Nothing was ever stored or saved through a journal here, so no
             # compaction can be under way: the snapshot alone is the catalog.
-            self.entries = self._read_snapshot()
+            self._entries = self._read_snapshot()
             return
         try:
             fcntl.flock(fd, fcntl.LOCK_SH)
-            self.entries = self._read(fd)
+            self._entries = self._read(fd)
         finally:
             os.close(fd)
+
+    @property
+    def entries(self) -> dict[str, CatalogEntry]:
+        """Every entry, parsing the snapshot lines not read yet."""
+        for sigma in self._entries:
+            self._built(self._entries, sigma)
+        return self._entries
 
     @property
     def unsaved(self) -> bool:
@@ -122,24 +141,48 @@ class Catalog:
     # Anything malformed raises naming the file: starting empty instead would
     # let the next save overwrite it.
 
-    def _read_snapshot(self) -> dict[str, CatalogEntry]:
+    def _read_snapshot(self) -> dict[str, CatalogEntry | bytes]:
+        """Entries, or the raw JSON of each line of a snapshot with a sha256."""
         try:
             raw = self.path.read_bytes()
         except FileNotFoundError:
             return {}
         try:
-            data = json.loads(raw)
+            head = _HEADER.match(raw)
+            # A header of ours parses closed on its own; other files whole.
+            data = json.loads(raw[: head.end()] + b"}}") if head else json.loads(raw)
             if not isinstance(data, dict):
                 raise TypeError("not a JSON object")
             if data.get("engine") != self.ENGINE_VERSION:
                 return {}  # stale engine: start fresh, the next save overwrites
             if "sha256" in data and hashlib.sha256(raw[raw.find(b"\n") + 1 :]).hexdigest() != data["sha256"]:
                 raise ValueError("entries do not match their sha256")
-            return {sigma: CatalogEntry.from_json(sigma, e) for sigma, e in data.get("entries", {}).items()}
+            if not head:
+                return {sigma: CatalogEntry.from_json(sigma, e) for sigma, e in data.get("entries", {}).items()}
+            body = raw[head.end() :]
+            if body == b"}}\n":
+                return {}
+            if not body.endswith(b"\n}}\n"):
+                raise ValueError("entries do not end with a }} line")
+            lines = body[:-4] + b","  # every entry line but the last ends with a comma
+            pairs = _LINE.findall(lines)
+            if len(pairs) != lines.count(b"\n") + 1:
+                raise ValueError("an entry line is not \"<sigma>\":{...}")
+            return {sigma.decode(): entry for sigma, entry in pairs}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corrupt catalog {self.path}: {type(exc).__name__}: {exc}") from exc
 
-    def _read(self, fd: int) -> dict[str, CatalogEntry]:
+    def _built(self, entries: dict[str, CatalogEntry | bytes], sigma: str) -> CatalogEntry | None:
+        """entries[sigma], first parsed in place if it is still a snapshot line."""
+        entry = entries.get(sigma)
+        if isinstance(entry, bytes):
+            try:
+                entry = entries[sigma] = CatalogEntry.from_json(sigma, json.loads(entry))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"corrupt catalog {self.path}: {type(exc).__name__}: {exc} at {sigma}") from exc
+        return entry
+
+    def _read(self, fd: int) -> dict[str, CatalogEntry | bytes]:
         """Snapshot overlaid with the journal; the caller holds a lock on fd."""
         entries = self._read_snapshot()
         lines = os.pread(fd, os.fstat(fd).st_size, 0).split(b"\n")
@@ -194,12 +237,14 @@ class Catalog:
         try:
             entries = self._read(fd)
             for sigma in self._added:
-                entries.setdefault(sigma, self.entries[sigma])  # additions never overwrite
+                entries.setdefault(sigma, self._entries[sigma])  # additions never overwrite
+            for sigma in entries:
+                self._built(entries, sigma)  # a malformed line raises before anything is written
             self._write_snapshot(entries, os.fstat(fd).st_mode & 0o777)
             os.ftruncate(fd, 0)
         finally:
             os.close(fd)
-        self.entries = entries
+        self._entries = entries
         self._added.clear()
         self._stored = False
 
@@ -228,7 +273,7 @@ class Catalog:
     # -- entries -----------------------------------------------------------
 
     def get_terms(self, sigma: str) -> list[int] | None:
-        entry = self.entries.get(sigma)
+        entry = self._built(self._entries, sigma)
         if entry is None or not entry.terms:
             return None
         return [int(t) for t in entry.terms]
@@ -245,12 +290,11 @@ class Catalog:
             terms=[str(t) for t in terms],
             dual=format_configuration(dual(config)),
         )
-        entry.validate()
-        self.entries[entry.sigma] = entry
+        self._entries[entry.sigma] = entry
         return entry
 
     def add_configuration(self, config, convergent: bool, intervals=()) -> None:
         from .configurations import format_configuration
 
-        if format_configuration(config) not in self.entries:
+        if format_configuration(config) not in self._entries:
             self._added.add(self._put(config, convergent, intervals).sigma)
