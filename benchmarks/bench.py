@@ -9,7 +9,8 @@ HEAD~``); the change is the checkout holding this script.  Each pair runs
 so a drift in the host's speed falls on both.  WORKLOAD=PAIRS sets a pair
 count (default: 3 of each workload).  The file keeps every pair's metrics
 and failed ops, the medians, the parent's interquartile range, the pairs in
-which the change was lower, each side's sha256 of ``src/`` and the machine.
+which the change was lower, each side's sha256 of ``src/`` and line count of
+``src/cellform`` (as ``wc -l``) and the machine.
 """
 from __future__ import annotations
 
@@ -30,6 +31,10 @@ def src_digest(root: Path) -> str:
     for f in sorted((root / "src").rglob("*.py")):
         h.update(f.relative_to(root).as_posix().encode() + b"\0" + f.read_bytes())
     return h.hexdigest()
+
+
+def src_lines(root: Path) -> int:
+    return sum(f.read_bytes().count(b"\n") for f in (root / "src" / "cellform").rglob("*.py"))
 
 
 def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -54,7 +59,8 @@ def main(argv=None) -> int:
         w: int(n) for w, n in (item.split("=") for item in args.pairs)}
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     report = {"label": args.label, "seed": args.seed, "seconds": args.seconds,
-              "src_sha256": {side: src_digest(root) for side, root in sides.items()}, "workloads": {}}
+              "src_sha256": {side: src_digest(root) for side, root in sides.items()},
+              "src_lines": {side: src_lines(root) for side, root in sides.items()}, "workloads": {}}
     for workload, n in counts.items():
         pairs = []
         for i in range(n):

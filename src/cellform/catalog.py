@@ -21,6 +21,10 @@ engine version and a sha256 of the lines below it.
   (temp file and rename) and truncates the journal.  Another process's
   stores and compactions are never lost.
 
+An entry's ``intervals`` is the model its writer passed: ``store`` overwrites
+the entry, ``add_configuration`` never does, and the CLI passes the best model
+to both.
+
 A torn last journal line, left by a crash during an append, is dropped with a
 warning.  A digest mismatch or a malformed file raises, naming the file (and
 the sigma for a journal line, or for a snapshot entry when it is read).  A

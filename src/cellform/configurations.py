@@ -22,6 +22,9 @@ class NotMultipliableError(ValueError):
 
 
 def _check_permutation(seq) -> tuple[int, ...]:
+    """seq as a checked permutation; a str is the comma-separated form."""
+    if isinstance(seq, str):
+        seq = seq.split(",")
     seq = tuple(int(x) for x in seq)
     n = len(seq)
     if n == 0 or sorted(seq) != list(range(1, n + 1)):
@@ -82,7 +85,7 @@ def format_configuration(c: Configuration) -> str:
 
 
 def parse_configuration(text: str) -> Configuration:
-    return canonical_configuration(int(t) for t in text.strip().split(","))
+    return canonical_configuration(text)
 
 
 def canonical_configuration(sigma) -> Configuration:

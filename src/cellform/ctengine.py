@@ -7,9 +7,10 @@ denominator collapses to the monomial x_1...x_d.  The leading coefficient is
 then the coefficient of (x_1...x_d)^n in the n-th power of that product,
 extracted exactly by an interval sweep: factors are consumed sorted by left
 endpoint, exponents are capped at n, and a variable is projected out with its
-exponent pinned to n as soon as its last covering factor has been consumed.
-All coefficients are arbitrary-precision integers.  The model swept is the
-cheapest one given by the 2N seat images of a class's representative.
+exponent pinned to n as soon as its last covering factor has been consumed;
+one sweep plan per model fixes that schedule.  All coefficients are
+arbitrary-precision integers.  The model swept is the cheapest one given by
+the 2N seat images of a class's representative, ranked by their plans.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .configurations import (
     canonical_configuration,
     dihedral_images,
     format_configuration,
+    inverse_permutation,
     is_convergent,
     _as_sigma,
 )
@@ -66,9 +68,7 @@ def _convergent_sigma(sigma) -> tuple[int, ...]:
 def _interval_factors(seq: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """Sorted interval factors of a permutation already known to be convergent."""
     n = len(seq)
-    inv = [0] * (n + 1)
-    for i, v in enumerate(seq):
-        inv[v] = i + 1
+    inv = (0,) + inverse_permutation(seq)
     v_inf = seq[-1]
     intervals = []
     for j in range(1, n + 1):
@@ -113,32 +113,45 @@ def _linear_pass(state, weights, n):
     return new
 
 
-def _linear_multiplies(state, active, fvars, n):
-    """Multiply the state by (x_a + ... + x_b)^n as n capped linear passes."""
-    weights = [(n + 1) ** active.index(v) for v in fvars]
-    for _ in range(n):
-        state = _linear_pass(state, weights, n)
-    return state
+def _sweep_plan(factors) -> list[tuple[int, int, int, list[int]]]:
+    """The sweep's schedule: one step (width, lo, hi, closing) per factor.
+
+    Factors are consumed by left endpoint, so the variables seen so far are
+    1..top and the open ones sit in the packed keys in increasing order: a
+    step's keys have width digits, its factor covers digits lo..hi-1, and the
+    digits in closing (variables it covers last) are dropped after it."""
+    factors = sorted(factors)
+    last = {v: i for i, (a, b) in enumerate(factors) for v in range(a, b + 1)}
+    closes: list[list[int]] = [[] for _ in factors]
+    for v, i in last.items():
+        closes[i].append(v)
+    open_vars: list[int] = []
+    top = 0
+    plan = []
+    for (a, b), closed in zip(factors, closes):
+        if b > top:
+            open_vars += range(top + 1, b + 1)
+            top = b
+        lo = open_vars.index(a)
+        plan.append((len(open_vars), lo, lo + b - a + 1, [lo + v - a for v in closed]))
+        for v in closed:
+            open_vars.remove(v)
+    return plan
 
 
-def _closing_multiply(state, active, fvars, closing, n):
+def _closing_multiply(state, step, n, fact):
     """Multiply by a factor power while pinning the closing variables to n.
 
-    Each closing variable's share of the factor is forced, the remaining
-    degree is spread over the factor's surviving variables with multinomial
-    weights, and the closed digits are projected out of the packed keys.
+    The digits come from the plan step.  Each closing variable's share of the
+    factor is forced, the remaining degree is spread over the factor's
+    surviving variables with multinomial weights, and the closed digits are
+    projected out of the packed keys.
     """
+    width, lo, hi, closing = step
     base = n + 1
-    idx = {v: j for j, v in enumerate(active)}
-    closing_set = set(closing)
-    open_f = [v for v in fvars if v not in closing_set]
-    new_active = [v for v in active if v not in closing_set]
-    new_idx = {v: j for j, v in enumerate(new_active)}
-    kept = [(idx[v], base ** new_idx[v]) for v in new_active]
-    close_pos = [idx[v] for v in closing]
-    open_w = [base ** new_idx[v] for v in open_f]
-    fact = [math.factorial(i) for i in range(n + 1)]
-    n_active = len(active)
+    survivors = [pos for pos in range(width) if pos not in closing]
+    kept = [(pos, base ** j) for j, pos in enumerate(survivors)]
+    open_w = [w for pos, w in kept if lo <= pos < hi]
 
     # Pin the closing exponents: each term lands in a bucket by the leftover
     # degree r its factor share must spread over the surviving variables.
@@ -146,12 +159,12 @@ def _closing_multiply(state, active, fvars, closing, n):
     for key, coef in state.items():
         digits = []
         k = key
-        for _ in range(n_active):
+        for _ in range(width):
             k, dg = divmod(k, base)
             digits.append(dg)
         r = n
         outer = fact[n]
-        for p in close_pos:
+        for p in closing:
             kk = n - digits[p]
             r -= kk
             outer //= fact[kk]
@@ -165,7 +178,7 @@ def _closing_multiply(state, active, fvars, closing, n):
         bucket[base_key] = bucket.get(base_key, 0) + coef * outer
 
     if not open_w:
-        return buckets.get(0, {}), new_active
+        return buckets.get(0, {})
 
     # Horner pass: acc = sum_r bucket_r * (x_open1 + ... + x_openk)^r, merging
     # terms after every linear convolution instead of spreading compositions.
@@ -175,12 +188,7 @@ def _closing_multiply(state, active, fvars, closing, n):
             acc = _linear_pass(acc, open_w, n)
         for key, coef in buckets.get(r, {}).items():
             acc[key] = acc.get(key, 0) + coef
-    return acc, new_active
-
-
-def _last_cover(factors) -> dict[int, int]:
-    """Closing schedule: index of the last factor covering each variable."""
-    return {v: i for i, (a, b) in enumerate(factors) for v in range(a, b + 1)}
+    return acc
 
 
 def constant_term(model: IntervalFormProduct, n: int) -> int:
@@ -189,44 +197,30 @@ def constant_term(model: IntervalFormProduct, n: int) -> int:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1
-    factors = sorted(model.factors)
-    last = _last_cover(factors)
+    fact = [math.factorial(i) for i in range(n + 1)]
 
-    # terms maps packed exponent keys (base n+1 digits, one per variable of
-    # active, every digit <= n) to integer coefficients; once a variable's last
-    # covering factor is consumed only exponent-n terms survive and its digit
-    # is dropped.
-    active: list[int] = []
+    # terms maps packed exponent keys (base n+1 digits <= n, one per open
+    # variable) to integer coefficients; a variable's digit is dropped at its
+    # closing step, where only its exponent-n terms survive.
     terms = {0: 1}
-    seen = set()
-    for i, (a, b) in enumerate(factors):
-        fvars = list(range(a, b + 1))
-        for v in fvars:
-            if v not in seen:
-                seen.add(v)
-                active.append(v)
-        closing = [v for v in fvars if last[v] == i]
+    for step in _sweep_plan(model.factors):
+        _, lo, hi, closing = step
         if closing:
-            terms, active = _closing_multiply(terms, active, fvars, closing, n)
+            terms = _closing_multiply(terms, step, n, fact)
         else:
-            terms = _linear_multiplies(terms, active, fvars, n)
+            weights = [(n + 1) ** p for p in range(lo, hi)]
+            for _ in range(n):
+                terms = _linear_pass(terms, weights, n)
     # The unspecialized final variable is pinned by homogeneity, never filtered;
-    # anything left open or off-lattice here is an engine bug.
-    if active or any(k != 0 for k in terms):
+    # anything left off-lattice here is an engine bug.
+    if any(k != 0 for k in terms):
         raise ModelError("sweep failed to close all variables")
     return terms.get(0, 0)
 
 
 def _sweep_cost(factors: tuple[tuple[int, int], ...]) -> tuple:
     """Proxy for sweep cost: window widths as the factors are consumed."""
-    factors = sorted(factors)
-    last = _last_cover(factors)
-    open_vars: set[int] = set()
-    widths = []
-    for i, (a, b) in enumerate(factors):
-        open_vars.update(range(a, b + 1))
-        widths.append(len(open_vars))
-        open_vars -= {v for v in open_vars if last[v] == i}
+    widths = [width for width, _, _, _ in _sweep_plan(factors)]
     return (max(widths), sum(4 ** w for w in widths))
 
 

@@ -11,6 +11,7 @@ from cellform.congruences import (
     verify_thm1,
     verify_thm2,
 )
+from cellform.ctengine import best_model
 from cellform.modforms import ETA4_2Z_4Z, ETA6_4Z, eta_qexp, gamma_cm
 from cellform.sequences import apery_a, apery_b
 
@@ -120,3 +121,17 @@ def test_closed_form_verifiers_match_direct_sums():
     for which, direct in (("a", apery_a), ("b", apery_b)):
         expected = CongruenceCase(f"COSTER_{which.upper()}", params, direct(25), direct(5), 5**6)
         assert verify_coster(which, 5, 1, 2).to_json() == expected.to_json()
+
+
+def test_str_sigma_is_the_comma_separated_form():
+    # A str is the comma-separated form, never one value per character:
+    # '13524' is not the permutation (1, 3, 5, 2, 4), and N >= 10 must parse.
+    sigma = (1, 3, 5, 2, 4)
+    assert canonical_configuration("1,3,5,2,4") == canonical_configuration(sigma)
+    assert best_model("1,3,5,2,4") == best_model(sigma)
+    assert verify_conjecture1("1,3,5,2,4", 5, 1, 1) == verify_conjecture1(sigma, 5, 1, 1)
+    for call in (canonical_configuration, best_model, lambda s: verify_conjecture1(s, 5, 1, 1)):
+        with pytest.raises(ValueError):
+            call("13524")
+    ten = "1,3,5,7,9,2,4,6,8,10"
+    assert canonical_configuration(ten) == canonical_configuration(tuple(range(1, 11, 2)) + tuple(range(2, 11, 2)))
