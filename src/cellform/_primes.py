@@ -30,6 +30,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(p: int, least: int = 3) -> None:
+    """Raise ValueError naming p unless p is a prime >= least."""
+    if p < least or not is_prime(p):
+        what = "an odd prime" if least == 3 else f"a prime >= {least}"
+        raise ValueError(f"p must be {what}, got {p}")
+
+
+def _phi(p: int, x: int) -> int:
+    """The quadratic character of x mod the odd prime p, by Euler's criterion."""
+    x %= p
+    if x == 0:
+        return 0
+    return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
+
+
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n by sieve."""
     if n < 2:

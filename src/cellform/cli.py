@@ -276,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=5)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--r", type=int, default=1)
-    p.add_argument("--n", type=int, help="enumerate configurations of this size (conj1)")
-    p.add_argument("--sigma", help="single configuration (conj1)")
+    source = p.add_mutually_exclusive_group()  # conj1 checks that one is given
+    source.add_argument("--n", type=int, help="enumerate configurations of this size (conj1)")
+    source.add_argument("--sigma", help="single configuration (conj1)")
     common(p, out=True, fmt=True)
     p.set_defaults(func=cmd_verify)
 

@@ -10,6 +10,7 @@ star multiplication of pairs of dihedral structures.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,18 @@ class NotMultipliableError(ValueError):
 
 
 def _check_permutation(seq) -> tuple[int, ...]:
-    """seq as a checked permutation; a str is the comma-separated form."""
+    """seq as a checked permutation; a str is the comma-separated form.  Other
+    entries must be integers, numpy ones included: floats and bools are rejected."""
     if isinstance(seq, str):
-        seq = seq.split(",")
-    seq = tuple(int(x) for x in seq)
+        seq = tuple(int(x) for x in seq.split(","))
+    else:
+        seq = tuple(seq)
+        try:
+            if bool in map(type, seq):
+                raise TypeError
+            seq = tuple(map(operator.index, seq))
+        except TypeError:
+            raise ValueError(f"permutation entries must be integers: {seq}") from None
     n = len(seq)
     if n == 0 or sorted(seq) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {seq}")
@@ -38,15 +47,6 @@ def dihedral_images(seq: tuple[int, ...]):
     for s in (seq, seq[::-1]):
         for r in range(n):
             yield s[r:] + s[:r]
-
-
-def _value_maps(n: int) -> list[tuple[int, ...]]:
-    """Dihedral relabelings of the value cycle 1..n, as 1-indexed lookup tuples."""
-    maps = []
-    for r in range(n):
-        maps.append((0,) + tuple((v - 1 + r) % n + 1 for v in range(1, n + 1)))
-        maps.append((0,) + tuple((r - (v - 1)) % n + 1 for v in range(1, n + 1)))
-    return maps
 
 
 @dataclass(frozen=True, order=True)
@@ -107,7 +107,8 @@ def coset_images(sigma) -> list[tuple[int, ...]]:
     """All distinct rho1 o sigma o rho2, every value map over every seat image:
     the brute-force oracle for canonical_configuration and canonical_keys."""
     seq = _as_sigma(sigma)
-    vmaps = _value_maps(len(seq))
+    # the dihedral relabelings of the values 1..N, as 1-indexed lookup tuples
+    vmaps = [(0,) + image for image in dihedral_images(tuple(range(1, len(seq) + 1)))]
     return sorted({tuple(vm[x] for x in s) for s in dihedral_images(seq) for vm in vmaps})
 
 

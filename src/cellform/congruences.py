@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._primes import is_prime, odd_primes_in
+from ._primes import check_prime, odd_primes_in
 from .catalog import Catalog
 from .configurations import Configuration, format_configuration
 from .ctengine import leading_coefficients
@@ -120,8 +120,7 @@ def verify_coster(which: str, p: int, m: int, r: int) -> CongruenceCase:
     """f(m p^r) against f(m p^(r-1)) mod p^(3r), f one of the two Apery sequences."""
     if which not in ("a", "b"):
         raise ValueError("which must be 'a' or 'b'")
-    if p < 5 or not is_prime(p):
-        raise ValueError("p must be a prime >= 5")
+    check_prime(p, least=5)
     if m < 1 or r < 1:
         raise ValueError("m and r must be >= 1")
     f = apery_values(which, m * p**r)
@@ -143,8 +142,7 @@ def verify_conjecture1(
     A recorded verdict is evidence for the supercongruence conjecture, never a
     proof; values come from the constant-term engine (cache-backed).
     """
-    if p < 5 or not is_prime(p):
-        raise ValueError("p must be a prime >= 5")
+    check_prime(p, least=5)
     if m < 1 or r < 1:
         raise ValueError("m and r must be >= 1")
     record = leading_coefficients(c, m * p**r, catalog)

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import isqrt
 
-from ._primes import is_prime
+from ._primes import _phi, check_prime, is_prime
 from .modforms import legendre_trace
-from .sequences import fraction_mod, harmonic
+from .sequences import _binomial_pair_residues, _harmonic_window_residues
 
 
 @dataclass(frozen=True)
@@ -26,13 +26,6 @@ class CharacterTable:
     p: int
     generator: int
     dlog: tuple[int, ...]  # index x in 1..p-1 at dlog[x]; dlog[0] unused
-
-    def char_exponent(self, chi_index: int, x: int) -> int | None:
-        """Exponent t with chi(x) = zeta_(p-1)^t, or None when x = 0."""
-        x %= self.p
-        if x == 0:
-            return None
-        return chi_index * self.dlog[x] % (self.p - 1)
 
 
 def _factorize(n: int) -> list[int]:
@@ -58,8 +51,7 @@ def _element_of_order(n: int, m: int) -> int:
 
 def build_table(p: int) -> CharacterTable:
     """Find the least primitive root mod p and tabulate discrete logs."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_prime(p)
     g = _element_of_order(p - 1, p)
     dlog = [0] * p
     acc = 1
@@ -99,7 +91,7 @@ def orthogonality_check(p: int, chi_index: int) -> bool:
     """Verify sum_x chi(x) = p-1 for the trivial character and 0 otherwise."""
     table = build_table(p)
     q, powers = _character_field(p)
-    total = sum(powers[table.char_exponent(chi_index, x)] for x in range(1, p)) % q
+    total = sum(powers[chi_index * table.dlog[x] % (p - 1)] for x in range(1, p)) % q
     expected = p - 1 if chi_index % (p - 1) == 0 else 0
     return total == expected
 
@@ -147,12 +139,10 @@ def hyp_greene(p: int, n_upper: int, x: int) -> Fraction:
         raise ValueError("supported range is 2F1 through 5F4")
     table, q, powers, binoms = _jacobi_sums(p)
     x %= p
-    total = 0
-    for j in range(p - 1):
-        ex = table.char_exponent(j, x)
-        if ex is None:
-            continue  # chi(0) = 0 for every chi, including the trivial one
-        total += pow(binoms[j], n_upper + 1, q) * powers[ex]
+    if x == 0:
+        return Fraction(0)  # chi(0) = 0 for every chi, including the trivial one
+    dlog_x = table.dlog[x]
+    total = sum(pow(b, n_upper + 1, q) * powers[j * dlog_x % (p - 1)] for j, b in enumerate(binoms))
     numerator = p * pow(p - 1, -1, q) * total % q
     if numerator > q // 2:
         numerator -= q
@@ -165,11 +155,7 @@ def phi_at_minus_one(p: int) -> int:
 
 def hyp2f1_exact(p: int, lam: int) -> Fraction:
     """2F1 at lambda through the elliptic point count: -phi(-1) a(p,lambda) / p."""
-    lam %= p
-    if lam in (0, 1):
-        raise ValueError("lambda must avoid 0 and 1")
-    a = legendre_trace(p, lam)
-    return Fraction(-phi_at_minus_one(p) * a, p)
+    return Fraction(-phi_at_minus_one(p) * legendre_trace(p, lam), p)
 
 
 def teichmuller(x: int, p: int, n: int) -> int:
@@ -201,33 +187,24 @@ def truncated_2f1_reference(p: int, lam: int) -> int:
     return sign * p_2f1 % p2
 
 
-def _phi(p: int, x: int) -> int:
-    x %= p
-    if x == 0:
-        return 0
-    return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
-
-
 def truncated_2f1_mod_p2(p: int, lam: int) -> int:
     """Truncated half-range sum congruent to -phi(-lambda) p 2F1(1/lambda) mod p^2.
 
     (p+1) sum_j C(m,j) C(m+j,j) (-1)^j (1 + 2jp (H_{m+j} - H_j)) omega(lambda)^j
     with m = (p-1)/2 and omega the multiplicative lift mod p^2.
     """
-    if p < 5 or not is_prime(p):
-        raise ValueError("p must be a prime >= 5")
+    check_prime(p, least=5)
     lam %= p
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     p2 = p * p
-    m = (p - 1) // 2
     omega = teichmuller(lam, p, 2)
     total = 0
     om_pow = 1
-    for j in range(m + 1):
-        hw = fraction_mod(harmonic(m + j) - harmonic(j), p)
-        term = comb(m, j) * comb(m + j, j) % p2
-        term = term * (1 + 2 * j * p * hw) % p2
+    pairs = _binomial_pair_residues(p, p2)
+    windows = _harmonic_window_residues(p)
+    for j, (pair, hw) in enumerate(zip(pairs, windows)):
+        term = pair * (1 + 2 * j * p * hw) % p2
         if j % 2:
             term = -term
         total = (total + term * om_pow) % p2

@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from ._primes import is_prime
+from ._primes import check_prime
 
 # Read by perfbench/worker.py for its machine record; every kernel is numpy.
 USE_NUMBA = False
@@ -135,8 +135,7 @@ def decode_key(key: int, n: int) -> tuple[int, ...]:
 
 def legendre_traces(p: int) -> np.ndarray:
     """Traces a(p, lambda) for lambda = 2..p-1 (Hasse bound asserted)."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_prime(p)
     phi = np.full(p, -1, dtype=np.int8)
     x = np.arange(1, p, dtype=np.int64)
     phi[(x * x) % p] = 1

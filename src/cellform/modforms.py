@@ -13,7 +13,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from ._primes import is_prime
+from ._primes import _phi, check_prime
 from .kernels import legendre_traces
 
 
@@ -32,8 +32,7 @@ class TwoSquares:
 
 def two_squares(p: int) -> TwoSquares:
     """The unique decomposition p = x^2 + y^2 with x odd, y even, both positive."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     if p % 4 != 1:
         raise ValueError(f"no two-squares decomposition: {p} != 1 (mod 4)")
     for x in range(1, isqrt(p) + 1, 2):
@@ -60,8 +59,7 @@ def gamma_cm(k: int, p: int) -> int:
     """Prime coefficient of the weight-k CM newform attached to Q(i)."""
     if k < 2:
         raise ValueError("weight must be >= 2")
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_prime(p)
     if p % 4 == 3:
         return 0
     ts = two_squares(p)
@@ -108,39 +106,19 @@ ETA6_4Z = EtaProductSpec(((4, 6),))        # weight 3, level 16
 ETA4_2Z_4Z = EtaProductSpec(((2, 4), (4, 4)))  # weight 4, level 8
 
 
-def _euler_factor_power(scale: int, exponent: int, length: int) -> list[int]:
-    """Truncated prod_{j>=1} (1 - q^(scale*j))^exponent as integer coefficients."""
-    prod = [0] * length
-    prod[0] = 1
-    for _ in range(exponent):
-        for j in range(1, (length - 1) // scale + 1):
-            step = scale * j
-            for i in range(length - 1, step - 1, -1):
-                prod[i] -= prod[i - step]
-    return prod
-
-
 def eta_qexp(spec: EtaProductSpec, n_max: int) -> list[int]:
     """Exact integer q-expansion of an eta product: index n holds the q^n
     coefficient, for n up to n_max."""
     shift = spec.leading_power
     length = max(n_max + 1 - shift, 1)
-    prod = [0] * length
-    prod[0] = 1
+    prod = [1] + [0] * (length - 1)
+    # Multiply each factor (1 - q^step) of prod_j (1 - q^(scale j))^exponent in place.
     for scale, exponent in spec.factors:
-        part = _euler_factor_power(scale, exponent, length)
-        new = [0] * length
-        for i, a in enumerate(prod):
-            if a:
-                for j in range(length - i):
-                    if part[j]:
-                        new[i + j] += a * part[j]
-        prod = new
-    coeffs = [0] * (n_max + 1)
-    for i, a in enumerate(prod):
-        if shift + i <= n_max:
-            coeffs[shift + i] = a
-    return coeffs
+        for _ in range(exponent):
+            for step in range(scale, length, scale):
+                for i in range(length - 1, step - 1, -1):
+                    prod[i] -= prod[i - step]
+    return ([0] * shift + prod)[: n_max + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +127,11 @@ def eta_qexp(spec: EtaProductSpec, n_max: int) -> list[int]:
 
 def legendre_trace(p: int, lam: int) -> int:
     """a(p, lambda) = p + 1 - #E_lambda(F_p) for y^2 = x(x-1)(x-lambda)."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_prime(p)
     lam %= p
     if lam in (0, 1):
         raise ValueError("lambda must avoid 0 and 1")
-    half = (p - 1) // 2
-    total = 0
-    for x in range(p):
-        f = x * (x - 1) % p * (x - lam) % p
-        if f:
-            total += 1 if pow(f, half, p) == 1 else -1
-    a = -total
+    a = -sum(_phi(p, x * (x - 1) * (x - lam)) for x in range(p))
     if a * a > 4 * p:
         raise AssertionError(f"Hasse bound violated: |{a}| > 2 sqrt({p})")
     return a

@@ -3,13 +3,13 @@
 The overdetermined linear system for the unknown coefficient polynomials is
 solved modulo a fixed ladder of 62-bit primes; the nullspace vector is
 recovered over Q by CRT plus rational reconstruction and then certified by
-exact integer verification against every supplied term.  A candidate that
-fails certification (unlucky primes) triggers more primes; nothing is ever
-accepted on residual evidence alone.
+exact integer verification against every supplied term.  Only primes whose
+pivot columns match the best seen enter the CRT (a rank drop mod p shows in
+them); a candidate that fails certification triggers more primes, and
+nothing is ever accepted on residual evidence alone.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -158,33 +158,23 @@ def fit(seq, order: int, degree: int) -> PolyRecurrence | None:
         return rows
 
     ladder = _prime_ladder()
-    primes: list[int] = []
-    residues: list[list[int] | None] = []
-    pivot_sets: list[list[int]] = []
+    best = None  # (-rank, pivot list) of the primes in the CRT
     for _ in range(24):  # plenty for desk-scale coefficient sizes
         p = next(ladder)
-        primes.append(p)
         vec, pivots = _nullspace_vector_mod(build_rows(p), p)
-        residues.append(vec)
-        pivot_sets.append(pivots)
-        if len(primes) < 2:
+        if vec is None:
+            return None  # full column rank mod p, hence over Q
+        # Mod p every prefix of the columns has at most its rank over Q, so a
+        # lucky prime has the longest pivot list and, among lists that long,
+        # the lexicographically least: keep the primes with the best key.
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, combined, modulus = key, vec, p
+        elif key == best:
+            combined = [_crt(x, modulus, y, p) for x, y in zip(combined, vec)]
+            modulus *= p
+        else:
             continue
-        # Ignore primes whose pivot structure disagrees with the majority
-        # (those saw a spurious rank drop).
-        counts = Counter(tuple(ps) for ps in pivot_sets)
-        best = counts.most_common(1)[0][0]
-        keep = [i for i, ps in enumerate(pivot_sets) if tuple(ps) == best]
-        if len(keep) < 2:
-            continue
-        if residues[keep[0]] is None:
-            return None
-        combined = residues[keep[0]][:]
-        modulus = primes[keep[0]]
-        for i in keep[1:]:
-            combined = [
-                _crt(x, modulus, y, primes[i]) for x, y in zip(combined, residues[i])
-            ]
-            modulus *= primes[i]
         rationals = [_rational_reconstruct(x, modulus) for x in combined]
         if any(v is None for v in rationals):
             continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from ._primes import is_prime
+from ._primes import check_prime
 
 
 def apery_a(n: int) -> int:
@@ -239,8 +239,7 @@ def lemma_suite(p: int) -> dict[str, bool | None]:
     Returns check name -> True/False, or None where the statement needs p > 3
     and p is 3.
     """
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_prime(p)
     report: dict[str, bool | None] = {}
     for name, (check, min_p) in LEMMA_CHECKS.items():
         report[name] = check(p) if p >= min_p else None

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +208,23 @@ def test_fit_needs_exactly_one_source(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_verify_conj1_takes_sigma_or_n_not_both(tmp_path, monkeypatch, capsys):
+    # Both options used to verify --sigma alone and drop --n silently.
+    import cellform.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sweep ran before the options were rejected")
+
+    monkeypatch.setattr(cli, "verify_conjecture1", no_work)
+    monkeypatch.setattr(cli, "enumerate_convergent", no_work)
+    argv = ["verify", "conj1", "--sigma", "1,3,5,2,4", "--n", "7", "--cache-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "catalog.json").exists()
+
+
 def test_fit_sigma8_via_cli(capsys):
     code, stdout, _ = run_main(
         ["fit", "--sequence", "sigma8", "--terms", "120", "--order", "4", "--degree", "15"],
@@ -328,3 +348,22 @@ def test_bad_input_exits_2_with_one_line(argv, message, tmp_path):
     assert out.returncode == 2
     assert out.stderr.splitlines() == [message]
     assert out.stdout == ""
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each line of the sh block under '## Command line' in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in commands if argv and argv[0] == "cellform"]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CELLFORM_CACHE_DIR", str(tmp_path / "cache"))
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from cellform.configurations import (
@@ -318,3 +319,14 @@ def test_configuration_string_roundtrip():
     c = canonical_configuration(SIGMA8)
     assert parse_configuration(format_configuration(c)) == c
     assert parse_configuration("8,3,6,1,4,7,2,5") == c
+
+
+@pytest.mark.parametrize("sigma", [(1.0, 3.9, 5, 2, 4.5), [True, 3, 5, 2, 4]])
+def test_permutation_entries_are_not_truncated(sigma):
+    with pytest.raises(ValueError):
+        canonical_configuration(sigma)
+
+
+def test_numpy_integer_rows_are_permutations():
+    row = np.array([1, 3, 5, 2, 4], dtype=np.int64)
+    assert canonical_configuration(row) == canonical_configuration(SIGMA5)

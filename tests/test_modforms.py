@@ -123,6 +123,25 @@ def test_eta4_2z_4z_normalized():
     assert s[5] == -2
 
 
+def _naive_eta_qexp(spec, n_max):
+    """prod_i prod_j (1 - q^(m_i j))^(e_i), one factor at a time by full
+    truncated multiplication, shifted by the leading q-power."""
+    poly = [1] + [0] * n_max
+    for scale, exponent in spec.factors:
+        for step in range(scale, n_max + 1, scale):
+            factor = [0] * (n_max + 1)
+            factor[0], factor[step] = 1, -1
+            for _ in range(exponent):
+                poly = [sum(poly[i] * factor[k - i] for i in range(k + 1)) for k in range(n_max + 1)]
+    return ([0] * spec.leading_power + poly)[: n_max + 1]
+
+
+@pytest.mark.parametrize("spec", [ETA12_2Z, ETA6_4Z, ETA4_2Z_4Z], ids=["eta12_2z", "eta6_4z", "eta4_2z_4z"])
+def test_eta_qexp_matches_naive_product(spec):
+    # every coefficient, composite indices included
+    assert eta_qexp(spec, 80) == _naive_eta_qexp(spec, 80)
+
+
 def test_eta_rejects_fractional_leading_power():
     with pytest.raises(ValueError):
         eta_qexp(EtaProductSpec(((1, 1),)), 10)

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from cellform import recfit
 from cellform.recfit import PolyRecurrence, check_self_duality_symmetry, fit
 from cellform.sequences import a_sigma8, apery_a
 
@@ -61,3 +63,18 @@ def test_symmetry_negative_control():
     perturbed[1][0] += Fraction(1, 7)
     broken = PolyRecurrence(4, 15, tuple(tuple(row) for row in perturbed))
     assert not check_self_duality_symmetry(broken)
+
+
+def test_fit_survives_unlucky_primes(monkeypatch):
+    # 2, 3 and 5 drop the rank of the apery_a system; the pivot rule skips them
+    cases = [([apery_a(n) for n in range(30)], 2, 2), ([1] * 30, 1, 0)]
+    expected = [fit(seq, order, degree) for seq, order, degree in cases]
+    default_ladder = recfit._prime_ladder
+
+    def ladder():
+        yield from (2, 3, 5, 7)
+        yield from default_ladder()
+
+    monkeypatch.setattr(recfit, "_prime_ladder", ladder)
+    assert [fit(seq, order, degree) for seq, order, degree in cases] == expected
+    assert fit([math.factorial(n) for n in range(40)], 1, 0) is None
