@@ -43,9 +43,10 @@ from .recfit import check_self_duality_symmetry, fit
 from .sequences import a_sigma8, apery_a, apery_b, lemma_suite
 
 
-def _emit_rows(args, rows: list[dict]) -> list[dict]:
+def _emit_rows(args, rows: list[dict]) -> int:
     """Write finished rows to stdout or --out as JSON lines or CSV (header
-    from the first row) and return the failed ones.
+    from the first row) and return the exit code: 1 when a row failed, after
+    listing the failed rows on stderr as {"failures": [...]}, else 0.
 
     The output is opened only after every row is computed, so input that a
     command rejects leaves an existing report alone.
@@ -60,7 +61,11 @@ def _emit_rows(args, rows: list[dict]) -> list[dict]:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return [r for r in rows if r.get("pass") is False]
+    failures = [r for r in rows if r.get("pass") is False]
+    if failures:
+        json.dump({"failures": failures}, sys.stderr)
+        sys.stderr.write("\n")
+    return 1 if failures else 0
 
 
 def _csv_cell(v) -> str:
@@ -160,7 +165,7 @@ def cmd_modform(args) -> int:
                 "pass": cm3 == eta6[p] and pc6 == eta12[p],
             }
         )
-    return 1 if _emit_rows(args, rows) else 0
+    return _emit_rows(args, rows)
 
 
 def cmd_hyper(args) -> int:
@@ -184,7 +189,7 @@ def cmd_hyper(args) -> int:
         )
     special = hyp_greene(p, 1, 1) * p == -phi_at_minus_one(p)
     rows.append({"p": p, "lambda": 1, "special_value": special, "pass": special})
-    return 1 if _emit_rows(args, rows) else 0
+    return _emit_rows(args, rows)
 
 
 def _report_rows(report: CongruenceReport) -> list[dict]:
@@ -233,12 +238,7 @@ def cmd_verify(args) -> int:
                     }
                 )
 
-    failures = _emit_rows(args, rows)
-    if failures:
-        json.dump({"failures": failures}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
-    return 0
+    return _emit_rows(args, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -164,44 +164,20 @@ class MultiplicationSite:
 def multiplication_triples(delta: DihedralStructure, delta_prime: DihedralStructure):
     """Triples (t1,t2,t3) consecutive in delta (t2 middle) with t1,t3 adjacent
     in delta_prime; the pair (delta, delta_prime) is multipliable along these."""
-    cyc = delta.order
-    n = len(cyc)
-    adj = set()
-    dp = delta_prime.order
-    for i in range(len(dp)):
-        a, b = dp[i], dp[(i + 1) % len(dp)]
-        adj.add((a, b))
-        adj.add((b, a))
+    adjacent = {s[:2] for s in dihedral_images(delta_prime.order)}
     triples = []
-    for i in range(n):
-        t1, t2, t3 = cyc[i], cyc[(i + 1) % n], cyc[(i + 2) % n]
-        if (t1, t3) in adj:
-            triples.append((t1, t2, t3))
-            triples.append((t3, t2, t1))
+    for s in itertools.islice(dihedral_images(delta.order), len(delta)):
+        if len(s) > 2 and (s[0], s[2]) in adjacent:
+            triples += [s[:3], s[2::-1]]
     return triples
 
 
-def _orient_triple(cyc: tuple[int, ...], t1: int, t2: int, t3: int) -> tuple[int, ...]:
-    """Traversal starting (t1, t2, t3); requires the triple consecutive with t2 middle."""
-    n = len(cyc)
-    i = cyc.index(t2)
-    left, right = cyc[(i - 1) % n], cyc[(i + 1) % n]
-    if {left, right} != {t1, t3}:
-        raise NotMultipliableError(f"triple ({t1},{t2},{t3}) not consecutive in {cyc}")
-    if left == t1:
-        return tuple(cyc[(i - 1 + j) % n] for j in range(n))
-    return tuple(cyc[(i + 1 - j) % n] for j in range(n))
-
-
-def _orient_edge(cyc: tuple[int, ...], t1: int, t3: int) -> tuple[int, ...]:
-    """Traversal starting (t1, t3); requires t1, t3 adjacent."""
-    n = len(cyc)
-    i = cyc.index(t1)
-    if cyc[(i + 1) % n] == t3:
-        return tuple(cyc[(i + j) % n] for j in range(n))
-    if cyc[(i - 1) % n] == t3:
-        return tuple(cyc[(i - j) % n] for j in range(n))
-    raise NotMultipliableError(f"pair ({t1},{t3}) not adjacent in {cyc}")
+def _orient(cyc: tuple[int, ...], prefix: tuple[int, ...]) -> tuple[int, ...]:
+    """The first dihedral image of cyc that starts with prefix."""
+    for image in dihedral_images(cyc):
+        if image[: len(prefix)] == prefix:
+            return image
+    raise NotMultipliableError(f"{prefix} is not consecutive in {cyc}")
 
 
 def _glue(consec: tuple[int, ...], t: tuple[int, int, int], adj: tuple[int, ...]) -> tuple[int, ...]:
@@ -210,10 +186,8 @@ def _glue(consec: tuple[int, ...], t: tuple[int, int, int], adj: tuple[int, ...]
     consec carries (t1,t2,t3) consecutively, adj carries the edge t1-t3; the
     complementary arc of consec is spliced into that edge.
     """
-    c = _orient_triple(consec, *t)
-    d = _orient_edge(adj, t[0], t[2])
-    arc = c[3:]
-    return (t[0],) + tuple(reversed(arc)) + d[1:]
+    arc = _orient(consec, t)[3:]
+    return (t[0],) + tuple(reversed(arc)) + _orient(adj, t[::2])[1:]
 
 
 def star_product_pair(alpha_pair, beta_pair, site: MultiplicationSite, rest_order=None):

@@ -88,7 +88,15 @@ def verify_thm1(l: int, p_max: int) -> CongruenceReport:
 
 
 def verify_thm2(p_max: int) -> CongruenceReport:
-    """a_sigma8((p-1)/2) against the weight-6 point-count coefficient, odd p."""
+    """a_sigma8((p-1)/2) against the weight-6 point-count coefficient, odd p.
+
+    First the closed form is tied to the cellular integral it stands for: the
+    sweep of sigma8 must give a_sigma8(n) for n <= min(6, (p_max-1)/2).
+    """
+    swept = leading_coefficients((8, 3, 6, 1, 4, 7, 2, 5), min(6, _half(p_max))).terms
+    for n, term in enumerate(swept):
+        if term != a_sigma8(n):
+            raise ArithmeticError(f"sigma8 sweep gives J({n}) = {term}, a_sigma8({n}) = {a_sigma8(n)}")
     report = CongruenceReport()
     for p in odd_primes_in(3, p_max + 1):
         lhs = a_sigma8((p - 1) // 2)

@@ -150,7 +150,7 @@ def hyp_greene(p: int, n_upper: int, x: int) -> Fraction:
 
 
 def phi_at_minus_one(p: int) -> int:
-    return 1 if p % 4 == 1 else -1
+    return _phi(p, -1)
 
 
 def hyp2f1_exact(p: int, lam: int) -> Fraction:

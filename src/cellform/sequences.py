@@ -11,7 +11,8 @@ independent of clever identities.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from itertools import accumulate
+from math import comb, factorial, lcm, prod
 
 from ._primes import check_prime
 
@@ -80,25 +81,19 @@ def rising_factorial(a: int, n: int) -> int:
     return prod(range(a, a + n))
 
 
-_harmonic_values = [Fraction(0)]
-
-
 def harmonic(n: int) -> Fraction:
     """H_n = sum_{j<=n} 1/j as an exact rational, H_0 = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    while len(_harmonic_values) <= n:
-        _harmonic_values.append(_harmonic_values[-1] + Fraction(1, len(_harmonic_values)))
-    return _harmonic_values[n]
+    den = lcm(*range(1, n + 1))
+    return Fraction(sum(den // j for j in range(1, n + 1)), den)
 
 
-def fraction_mod(x: Fraction, modulus: int) -> int:
-    """Reduce an exact rational with invertible denominator to a residue."""
-    from math import gcd
-
-    if gcd(x.denominator, modulus) != 1:
-        raise ValueError(f"denominator {x.denominator} not invertible mod {modulus}")
-    return x.numerator * pow(x.denominator, -1, modulus) % modulus
+def _harmonic_residues(n: int, modulus: int) -> list[int]:
+    """[H_0, ..., H_n] mod modulus, as prefix sums of inverses; valid while n is
+    below every prime factor of modulus."""
+    inverses = (pow(j, -1, modulus) for j in range(1, n + 1))
+    return list(accumulate(inverses, lambda h, inv: (h + inv) % modulus, initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -122,19 +117,19 @@ def _check_central_binomial(p: int) -> bool:
 def _check_fermat_quotient(p: int) -> bool:
     # 2^(p-1) - 1 == p (1 + 1/3 + ... + 1/(p-2)) (mod p^2)
     p2 = p * p
-    s = sum(Fraction(1, j) for j in range(1, p - 1, 2))
-    return (pow(2, p - 1, p2) - 1) % p2 == p * fraction_mod(s, p2) % p2
+    s = sum(pow(j, -1, p2) for j in range(1, p - 1, 2))
+    return (pow(2, p - 1, p2) - 1) % p2 == p * s % p2
 
 
 def _check_wolstenholme(p: int) -> bool:
     # H_{p-1} == 0 (mod p^2), p > 3
-    return fraction_mod(harmonic(p - 1), p * p) == 0
+    return _harmonic_residues(p - 1, p * p)[-1] == 0
 
 
 def _check_two_power_harmonic(p: int) -> bool:
     # 2^(2p-2) == 1 - p H_{(p-1)/2} (mod p^2), p > 3
     p2 = p * p
-    rhs = (1 - p * fraction_mod(harmonic((p - 1) // 2), p2)) % p2
+    rhs = (1 - p * _harmonic_residues((p - 1) // 2, p2)[-1]) % p2
     return pow(2, 2 * p - 2, p2) == rhs
 
 
@@ -146,9 +141,10 @@ def _check_pochhammer_square_sum(p: int) -> bool:
 
 
 def _harmonic_window_residues(p: int) -> list[int]:
-    """(H_{m+k} - H_k) mod p for 0 <= k <= m; denominators stay below p."""
+    """(H_{m+k} - H_k) mod p for 0 <= k <= m."""
     m = (p - 1) // 2
-    return [fraction_mod(harmonic(m + k) - harmonic(k), p) for k in range(m + 1)]
+    h = _harmonic_residues(p - 1, p)
+    return [(h[m + k] - h[k]) % p for k in range(m + 1)]
 
 
 def _check_harmonic_quadruple_sum(p: int) -> bool:

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,51 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
     assert code == 1
     failures = json.loads(stderr)
     assert failures["failures"][0]["id"] == "THM2"
+
+
+@pytest.mark.parametrize(
+    "patch, argv, key, failed",
+    [
+        (("gamma_cm", lambda k, p: 0), ["modform", "--pmax", "13"], "p", [5, 13]),
+        (("hyp_greene", lambda p, n, x: Fraction(0)), ["hyper", "--p", "7"], "lambda", [3, 5, 1]),
+    ],
+    ids=["modform", "hyper"],
+)
+def test_row_commands_list_their_failures(capsys, monkeypatch, patch, argv, key, failed):
+    import cellform.cli as cli
+
+    monkeypatch.setattr(cli, *patch)
+    code, stdout, stderr = run_main(argv, capsys)
+    assert code == 1
+    failures = json.loads(stderr)["failures"]
+    assert failures == [row for row in map(json.loads, stdout.splitlines()) if not row["pass"]]
+    assert [row[key] for row in failures] == failed
+
+
+# Digests of stdout, fixed when these outputs were last known right; a change
+# to any of them is a change of output and must be explained.
+PINNED_OUTPUTS = {
+    "hyper --p 97": "455dc1a3afc8d4753857dfc258edc7424acaa103029a55fd746232a1397f370c",
+    "hyper --p 13 --format csv": "a6b8caf47d2bed26ba9b1e96a77cfc9240ae63b6971a6b8521e2a2cd11aaf843",
+    "verify lemmas --pmax 97": "266677085180c196dc835baad9a6d1c1e74562ad15f8bb52802c9c486b73afa6",
+    "modform --pmax 200": "e135c7d7b824a70675033ceb0798a4c912ac863f04f311b59d0afd99ca505015",
+    "verify thm2 --pmax 199": "6eab54ab1ca10bdd02c6f7da82d61ae9a20020a4a8255bc4c3a40676b93b02f6",
+    "verify beukers --pmax 299": "b2a0c85ea3a3d1afb791310cec6f64fa3eb5fd735fd7aa5db8593d818108d317",
+    "verify coster --p 5 --m 1 --r 2": "54ed6cd5831ebc5a7f462532f466c92cfd00a20361f9920b3f9d5b744e8df009",
+    "verify conj1 --n 7 --p 5": "e2d185d6ce91265b39243588e49136e4fb44c860acd0288fb1a244e4eaafe338",
+    "coeffs --sigma 8,3,6,1,4,7,2,5 --terms 12":
+        "3deed6b31340d20c16b69a2e952c48d4927618955c5456501c78225318c295e8",
+}
+
+
+def test_outputs_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CELLFORM_CACHE_DIR", str(tmp_path))
+    digests = {}
+    for command in PINNED_OUTPUTS:
+        code, stdout, _ = run_main(command.split(), capsys)
+        assert code == 0, command
+        digests[command] = hashlib.sha256(stdout.encode()).hexdigest()
+    assert digests == PINNED_OUTPUTS
 
 
 def test_modform_table_csv(capsys):

@@ -248,6 +248,32 @@ def test_multiplication_triples_found_for_sigma5():
     assert (1, 2, 3) in sites
 
 
+def _sites_by_definition(delta, delta_prime):
+    """Each seat i of delta in order: (delta[i], delta[i+1], delta[i+2]) when its
+    ends are cyclically adjacent in delta_prime, then its reverse."""
+    d, dp = delta.order, delta_prime.order
+    sites = []
+    for i in range(len(d)):
+        t = (d[i], d[(i + 1) % len(d)], d[(i + 2) % len(d)])
+        if (dp.index(t[0]) - dp.index(t[2])) % len(dp) in (1, len(dp) - 1):
+            sites += [t, t[::-1]]
+    return sites
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_multiplication_triples_match_definition(n):
+    rng = random.Random(n)
+    for _ in range(300):
+        delta, delta_prime = (DihedralStructure(tuple(rng.sample(range(1, n + 1), n))) for _ in range(2))
+        sites = multiplication_triples(delta, delta_prime)
+        assert sites == _sites_by_definition(delta, delta_prime)
+        # (delta, delta') along s times its dual pair (delta', delta) along t = s
+        for s in sites:
+            args = (delta, delta_prime), (delta_prime, delta), MultiplicationSite(s, s)
+            rest = [x for x in range(1, n + 1) if x not in s]
+            assert multiply(*args) == multiply(*args, rest_order=rest[::-1])
+
+
 # ---------------------------------------------------------------------------
 # power family
 # ---------------------------------------------------------------------------

@@ -42,6 +42,15 @@ def test_thm1_rejects_bad_l():
         verify_thm1(0, 50)
 
 
+def test_thm2_ties_the_closed_form_to_the_sweep(monkeypatch):
+    import cellform.congruences as congruences
+
+    exact = congruences.a_sigma8
+    monkeypatch.setattr(congruences, "a_sigma8", lambda n: exact(n) + (n == 3))
+    with pytest.raises(ArithmeticError, match=r"J\(3\) = 4124193, a_sigma8\(3\) = 4124194"):
+        verify_thm2(13)
+
+
 def test_thm2_worked_cases():
     report = verify_thm2(7)
     p3 = _case_for(report, p=3)

@@ -5,11 +5,12 @@ import pytest
 
 from cellform._primes import odd_primes_in
 from cellform.sequences import (
+    _harmonic_residues,
+    _harmonic_window_residues,
     a_sigma8,
     apery_a,
     apery_b,
     apery_values,
-    fraction_mod,
     harmonic,
     lemma_suite,
     rising_factorial,
@@ -91,9 +92,18 @@ def test_harmonic_values():
     assert harmonic(4) == Fraction(25, 12)
 
 
-def test_fraction_mod_requires_coprime_denominator():
-    with pytest.raises(ValueError):
-        fraction_mod(Fraction(1, 5), 25)
+def _residue(x: Fraction, modulus: int) -> int:
+    return x.numerator * pow(x.denominator, -1, modulus) % modulus
+
+
+def test_harmonic_residues_match_exact_values():
+    exact = [harmonic(k) for k in range(199)]
+    for p in odd_primes_in(3, 200):
+        for modulus in (p, p * p):
+            assert _harmonic_residues(p - 1, modulus) == [_residue(h, modulus) for h in exact[:p]]
+        m = (p - 1) // 2
+        windows = [_residue(exact[m + k] - exact[k], p) for k in range(m + 1)]
+        assert _harmonic_window_residues(p) == windows, p
 
 
 def test_lemma_suite_p5_all_pass():
