@@ -1,12 +1,17 @@
-"""Alternating parent/change pairs of perfbench runs, written to BENCH_<label>.json.
+"""Alternating parent/change pairs of benchmark runs, written to BENCH_<label>.json.
 
     python3 benchmarks/bench.py --parent ../parent --label NAME [--seconds 30]
         [--seed 0] [WORKLOAD=PAIRS ...]
 
-``--parent`` is a checkout to compare against (``git worktree add ../parent
-HEAD~``); the change is the checkout holding this script.  Each pair runs
-``perfbench/run.py --trace 0`` once in each, the parent first in even pairs,
-so a drift in the host's speed falls on both.  WORKLOAD=PAIRS sets a pair
+``--parent`` is a checkout to compare against (``git clone`` of the parent
+commit); the change is the checkout holding this script.  Each pair runs a
+workload once in each, the parent first in even pairs, so a drift in the
+host's speed falls on both.  The perfbench workloads run
+``perfbench/run.py --trace 0``.  ``cli_enumerate_n11`` runs
+``cellform enumerate --n 11 --out X`` in a fresh interpreter from each
+checkout's ``src/`` and records its wall time and peak RSS; a run fails if it
+exits nonzero or prints another count line, and the change's run fails if its
+catalog is not byte-identical to the parent's.  WORKLOAD=PAIRS sets a pair
 count (default: 3 of each workload).  The file keeps every pair's metrics
 and failed ops, the medians, the parent's interquartile range, the pairs in
 which the change was lower, each side's sha256 of ``src/`` and line count of
@@ -17,13 +22,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("enumerate", "conj1_cold", "catalog_mixed", "congruences")
+CLI_WORKLOAD = "cli_enumerate_n11"
+CLI_LINE = "N=11: 7028 convergent configurations (3565 up to duality) -> "
 
 
 def src_digest(root: Path) -> str:
@@ -47,6 +57,38 @@ def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dic
     return {"metrics": metrics, "attempted": line["attempted"], "failed": line["failed"]}, machine
 
 
+def run_cli(root: Path, out: Path) -> dict:
+    """cellform enumerate --n 11 --out OUT with the package of root."""
+    cmd = [sys.executable, "-m", "cellform.cli", "enumerate", "--n", "11", "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    proc = subprocess.Popen(cmd, cwd=out.parent, env=env, stdout=subprocess.PIPE, text=True)
+    printed = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    proc.stdout.close()
+    ok = proc.returncode == 0 and printed.startswith(CLI_LINE)
+    return {"metrics": {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024},
+            "attempted": 1, "failed": int(not ok)}
+
+
+def run_pair(sides: dict, workload: str, first: str, seed: int, seconds: float, report: dict) -> dict:
+    pair = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for side in (first, "change" if first == "parent" else "parent"):
+            if workload == CLI_WORKLOAD:
+                pair[side] = run_cli(sides[side], Path(tmp) / f"{side}.json")
+            else:
+                pair[side], report["machine"] = run(sides[side], workload, seed, seconds)
+            print(workload, side, json.dumps(pair[side]), flush=True)
+        if workload == CLI_WORKLOAD:
+            catalogs = [Path(tmp, f"{side}.json") for side in ("parent", "change")]
+            if not all(c.exists() for c in catalogs) or catalogs[0].read_bytes() != catalogs[1].read_bytes():
+                pair["change"]["failed"] = 1
+    return pair
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path)
@@ -55,20 +97,15 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("pairs", nargs="*", help="WORKLOAD=PAIRS")
     args = ap.parse_args(argv)
-    counts = dict.fromkeys(WORKLOADS, 3) if not args.pairs else {
+    counts = dict.fromkeys(WORKLOADS + (CLI_WORKLOAD,), 3) if not args.pairs else {
         w: int(n) for w, n in (item.split("=") for item in args.pairs)}
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     report = {"label": args.label, "seed": args.seed, "seconds": args.seconds,
               "src_sha256": {side: src_digest(root) for side, root in sides.items()},
               "src_lines": {side: src_lines(root) for side, root in sides.items()}, "workloads": {}}
     for workload, n in counts.items():
-        pairs = []
-        for i in range(n):
-            pair = {}
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                pair[side], report["machine"] = run(sides[side], workload, args.seed, args.seconds)
-                print(workload, i, side, json.dumps(pair[side]), flush=True)
-            pairs.append(pair)
+        pairs = [run_pair(sides, workload, "parent" if i % 2 == 0 else "change", args.seed,
+                          args.seconds, report) for i in range(n)]
         summary = {"pairs": pairs, "median": {}, "parent_iqr": {}, "change_better": {}}
         for metric in pairs[0]["parent"]["metrics"]:  # each lower is better
             values = {side: [p[side]["metrics"][metric] for p in pairs] for side in sides}

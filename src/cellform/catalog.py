@@ -282,8 +282,9 @@ class Catalog:
             return None
         return [int(t) for t in entry.terms]
 
-    def _put(self, config, convergent: bool, intervals, terms=()) -> CatalogEntry:
-        """Build, validate and insert the entry of config, its dual included."""
+    def _put(self, config, convergent: bool, intervals, terms=(), dual_config=None) -> CatalogEntry:
+        """Build, validate and insert the entry of config, its dual included
+        (computed here unless the caller already has it)."""
         from .configurations import dual, format_configuration
 
         entry = CatalogEntry(
@@ -292,13 +293,13 @@ class Catalog:
             convergent=convergent,
             intervals=[tuple(iv) for iv in intervals],
             terms=[str(t) for t in terms],
-            dual=format_configuration(dual(config)),
+            dual=format_configuration(dual(config) if dual_config is None else dual_config),
         )
         self._entries[entry.sigma] = entry
         return entry
 
-    def add_configuration(self, config, convergent: bool, intervals=()) -> None:
+    def add_configuration(self, config, convergent: bool, intervals=(), dual_config=None) -> None:
         from .configurations import format_configuration
 
         if format_configuration(config) not in self._entries:
-            self._added.add(self._put(config, convergent, intervals).sigma)
+            self._added.add(self._put(config, convergent, intervals, dual_config=dual_config).sigma)

@@ -104,8 +104,8 @@ def _compact(catalog: Catalog) -> None:
 def cmd_enumerate(args) -> int:
     result = enumerate_convergent(args.n)
     catalog = Catalog(args.out) if args.out else _open_catalog(args)
-    for config in result.configurations:
-        catalog.add_configuration(config, True, best_model(config).factors)
+    for config, dual_config in zip(result.configurations, result.duals):
+        catalog.add_configuration(config, True, best_model(config).factors, dual_config)
     catalog.save()
     print(
         f"N={args.n}: {result.count} convergent configurations "

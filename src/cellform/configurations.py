@@ -253,26 +253,35 @@ class EnumerationResult:
     configurations: list[Configuration]
     count: int
     count_dual_identified: int
+    duals: list[Configuration]  # duals[i] is the dual of configurations[i]
 
 
 def enumerate_convergent(n: int) -> EnumerationResult:
     """All convergent configurations on {1..n}, with counts under both
-    conventions (dual pairs distinct / identified).
+    conventions (dual pairs distinct / identified) and the dual of each.
 
-    Desk-scale up to n = 10 or so; the batch kernels do the heavy scanning.
+    Raises ValueError if duality does not map the classes onto themselves,
+    which would mean classes were lost.
     """
     if n < 5:
         raise ValueError("enumeration needs N >= 5")
-    kernels._check_key_width(n)  # before the (N-1)! scan, not after it
-    survivors = kernels.convergent_permutations(n)
-    keys = np.unique(kernels.canonical_keys(survivors))
+    kernels._check_key_width(n)  # before generating any row
+    rows = kernels.convergent_permutations(n)
+    keys = np.empty(0, dtype=np.int64)
+    for lo in range(0, len(rows), kernels._BATCH):  # memory: one block plus the classes
+        keys = np.union1d(keys, kernels.canonical_keys(rows[lo : lo + kernels._BATCH]))
     configs = [Configuration(n, kernels.decode_key(int(k), n)) for k in keys]
-    # A dual pair counts once and a self-dual class once: the dual of each
-    # class is the canonical key of its inverse permutation.
+    # The dual of each class is the canonical key of its inverse permutation.
     sigmas = np.array([c.sigma for c in configs], dtype=np.int64).reshape(-1, n)
     dual_keys = kernels.canonical_keys(np.argsort(sigmas, axis=1) + 1)
+    at = np.searchsorted(keys, dual_keys)
+    missing = np.count_nonzero(keys[np.minimum(at, len(keys) - 1)] != dual_keys)
+    if missing:
+        raise ValueError(f"N={n}: the class set misses the duals of {missing} of its {len(keys)} classes")
+    # A dual pair counts once and a self-dual class once.
     self_dual = int(np.count_nonzero(dual_keys == keys))
-    return EnumerationResult(n, configs, len(configs), (len(configs) + self_dual) // 2)
+    return EnumerationResult(n, configs, len(configs), (len(configs) + self_dual) // 2,
+                             [configs[i] for i in at])
 
 
 def enumerate_convergent_reference(n: int) -> list[Configuration]:

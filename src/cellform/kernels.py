@@ -1,17 +1,15 @@
 """Batch numpy kernels for the inner loops that work on machine integers.
 
-Three loops dominate desk-scale runtimes: scanning permutations for
-convergence during enumeration, canonicalizing the survivors under the
-two-sided dihedral action, and counting points on the Legendre curves over
-F_p.  Each has one vectorized implementation here; the plain-Python oracles
-they are tested against are ``configurations.is_convergent``,
-``configurations.coset_images`` (whose least element is the canonical key) and
-``modforms.legendre_trace``.
+Three loops dominate desk-scale runtimes: generating the convergent
+permutations during enumeration, canonicalizing them under the two-sided
+dihedral action, and counting points on the Legendre curves over F_p.  Each
+has one vectorized implementation here; the plain-Python oracles they are
+tested against are ``configurations.is_convergent`` (for the convergence test
+the generator applies seat by seat), ``configurations.coset_images`` (whose
+least element is the canonical key) and ``modforms.legendre_trace``.
 Everything involving arbitrary-precision integers lives elsewhere.
 """
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -20,61 +18,87 @@ from ._primes import check_prime
 # Read by perfbench/worker.py for its machine record; every kernel is numpy.
 USE_NUMBA = False
 
-_BATCH = 1 << 17
+_BATCH = 1 << 17  # rows per block: generation frontiers and canonicalization
 _LEGENDRE_ROWS = 256  # lambdas per block: memory stays O(256 p), not O(p^2)
 
 
 # ---------------------------------------------------------------------------
-# Convergence scan
+# Convergence
 #
 # A window of k seats in sigma is "blocking" if its set of values is a cyclic
 # interval of 1..N.  sigma is convergent iff no window with 2 <= k <= N-2
-# blocks; complementary windows block together, so scanning k <= N//2
-# suffices.  Runs of cyclically-adjacent values are counted incrementally as
-# the window grows: the window is a cyclic value interval iff one run remains.
+# blocks.  A window's values are held as a bitmask (value v is bit v-1), and
+# a table of 2^N booleans marks the masks of the cyclic intervals of those
+# sizes.  The complement of a wrapping seat window is a non-wrapping one and
+# the complement of a cyclic interval is a cyclic interval, so testing the
+# non-wrapping windows, each the XOR of two prefix masks, tests every window.
 # ---------------------------------------------------------------------------
+
+def _interval_table(n: int) -> np.ndarray:
+    """table[mask] is True iff mask holds a cyclic interval of 2..n-2 values."""
+    if n > 15:
+        raise ValueError(f"interval tables have 2^N entries; N <= 15 is supported, got N={n}")
+    full = (1 << n) - 1
+    table = np.zeros(1 << n, dtype=np.bool_)
+    for k in range(2, n - 1):
+        run = (1 << k) - 1
+        for a in range(n):
+            table[(run << a | run >> (n - a)) & full] = True
+    return table
+
 
 def convergent_mask(batch: np.ndarray) -> np.ndarray:
     """Boolean mask of convergent rows for a (rows, N) batch of permutations."""
-    batch = np.ascontiguousarray(batch, dtype=np.int64)
+    batch = np.asarray(batch, dtype=np.int64)
     rows, n = batch.shape
-    kmax = n // 2
-    ridx = np.arange(rows)
+    table = _interval_table(n)
+    prefix = np.zeros((rows, n + 1), dtype=np.int64)
+    np.cumsum(1 << (batch - 1), axis=1, out=prefix[:, 1:])
     alive = np.ones(rows, dtype=np.bool_)
-    member = np.empty((rows, n + 1), dtype=np.int8)
-    runs = np.empty(rows, dtype=np.int16)
-    for i in range(n):
-        member[:] = 0
-        runs[:] = 0
-        for k in range(1, kmax + 1):
-            v = batch[:, (i + k - 1) % n]
-            left = np.where(v == 1, n, v - 1)
-            right = np.where(v == n, 1, v + 1)
-            runs += 1 - member[ridx, left] - member[ridx, right]
-            member[ridx, v] = 1
-            if k >= 2:
-                alive &= runs != 1
+    for j in range(2, n + 1):  # the windows seats[i:j] with i <= j-2
+        alive &= ~table[prefix[:, : j - 1] ^ prefix[:, j : j + 1]].any(axis=1)
     return alive
 
 
 def convergent_permutations(n: int) -> np.ndarray:
-    """All convergent permutations of 1..n with first entry 1, as an array.
+    """The convergent permutations of 1..n with first seat 1, one of each
+    reflection pair (the one with seat[1] > seat[n-1]), as an int8 array of
+    shape (rows, n).
 
-    Fixing the first entry selects one representative per cyclic rotation of
-    seats, which is enough to hit every configuration class.
+    Rotating and reflecting the seats keeps the configuration class, so these
+    rows hit every class.  They are generated seat by seat, never scanned.
     """
-    rows = []
-    pool = tuple(range(2, n + 1))
-    it = itertools.permutations(pool)
-    while True:
-        chunk = list(itertools.islice(it, _BATCH))
-        if not chunk:
-            break
-        batch = np.empty((len(chunk), n), dtype=np.int64)
-        batch[:, 0] = 1
-        batch[:, 1:] = chunk
-        rows.append(batch[convergent_mask(batch)])
-    return np.concatenate(rows) if rows else np.empty((0, n), dtype=np.int64)
+    blocks = _completions(_interval_table(n), n, np.ones((1, 1), dtype=np.int8),
+                          np.array([[0, 1]], dtype=np.int32))
+    return np.concatenate([np.empty((0, n), dtype=np.int8), *blocks])
+
+
+def _completions(table: np.ndarray, n: int, seats: np.ndarray, masks: np.ndarray):
+    """Yield blocks of the convergent completions of the prefixes in seats.
+
+    masks[:, i] is the value mask of seats[:, :i], for i = 0..d.  A new seat
+    is kept only if no window ending at it blocks.  A frontier larger than
+    _BATCH rows is split, and its parts are finished depth first.
+    """
+    d = seats.shape[1]
+    if d == n:
+        yield seats[seats[:, 1] > seats[:, -1]]  # one row of each reflection pair
+        return
+    last = masks[:, -1]
+    parents, values, grown = [], [], []
+    for v in range(2, n + 1):
+        bit = 1 << (v - 1)
+        rows = np.flatnonzero((last & bit) == 0)
+        new = last[rows] | bit
+        ok = ~table[masks[rows] ^ new[:, None]].any(axis=1)
+        parents.append(rows[ok])
+        values.append(np.full(np.count_nonzero(ok), v, dtype=np.int8))
+        grown.append(new[ok])
+    parents = np.concatenate(parents)
+    seats = np.hstack([seats[parents], np.concatenate(values)[:, None]])
+    masks = np.hstack([masks[parents], np.concatenate(grown)[:, None]])
+    for lo in range(0, len(seats), _BATCH):
+        yield from _completions(table, n, seats[lo : lo + _BATCH], masks[lo : lo + _BATCH])
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +133,9 @@ def _encode(batch: np.ndarray) -> np.ndarray:
 
 def canonical_keys(batch: np.ndarray) -> np.ndarray:
     """Per-row canonical double-coset key (encoded canonical sequence)."""
-    batch = np.ascontiguousarray(batch, dtype=np.int64)
+    # The images are built in int8 (entries are at most N <= 15, which
+    # _encode checks); only the encoding widens to int64.
+    batch = np.ascontiguousarray(batch, dtype=np.int8)
     n = batch.shape[1]
     best = np.full(batch.shape[0], np.iinfo(np.int64).max, dtype=np.int64)
     for seat_map in _dihedral_maps(n):

@@ -39,6 +39,23 @@ def test_enumerate_n7_count(tmp_path, capsys):
     assert len(json.loads(out.read_text())["entries"]) == 5
 
 
+def test_enumerate_stores_the_duals_of_the_enumeration(tmp_path, capsys, monkeypatch):
+    # Each class's dual used to be canonicalized again in Python when stored.
+    import cellform.configurations as configurations
+
+    dual = configurations.dual
+
+    def no_dual(config):
+        raise AssertionError("dual() recomputed for an enumerated class")
+
+    monkeypatch.setattr(configurations, "dual", no_dual)
+    out = tmp_path / "n8.json"
+    assert run_main(["enumerate", "--n", "8", "--out", str(out)], capsys)[0] == 0
+    entries = json.loads(out.read_text())["entries"]
+    assert len(entries) == 17
+    assert all(e["dual"] == str(dual(parse_configuration(k))) for k, e in entries.items())
+
+
 def test_enumerate_n9_count(tmp_path, capsys):
     out = tmp_path / "catalog.json"
     code, _, _ = run_main(["enumerate", "--n", "9", "--out", str(out)], capsys)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -318,10 +319,53 @@ def test_enumeration_n6_unique_configuration():
 
 
 def test_enumeration_matches_reference():
-    for n in (5, 6, 7):
+    for n in (5, 6, 7, 8):
         ref = enumerate_convergent_reference(n)
         got = enumerate_convergent(n).configurations
         assert sorted(c.sigma for c in got) == [c.sigma for c in ref]
+
+
+def test_enumeration_n11_is_pinned():
+    # Counts and the sha256 of the sorted class list, as the (N-1)! scan gave them.
+    result = enumerate_convergent(11)
+    assert (result.count, result.count_dual_identified) == (7028, 3565)
+    keys = "\n".join(sorted(format_configuration(c) for c in result.configurations))
+    assert hashlib.sha256(keys.encode()).hexdigest() == (
+        "9c07fd63cb53fa33e76a8009f2e8cfb9284e5aceaedcb4cc3b50552d723ad580"
+    )
+
+
+def test_enumeration_duals_are_the_duals():
+    for n in (5, 6, 7, 8, 9):
+        result = enumerate_convergent(n)
+        assert result.duals == [dual(c) for c in result.configurations]
+
+
+def test_enumeration_is_the_same_across_blocks(monkeypatch):
+    from cellform import kernels
+
+    rows = sorted(map(tuple, kernels.convergent_permutations(9).tolist()))
+    whole = enumerate_convergent(9)
+    # With 64-row blocks the N=9 frontiers, its 1463 rows and its keys are split many times.
+    monkeypatch.setattr(kernels, "_BATCH", 64)
+    assert sorted(map(tuple, kernels.convergent_permutations(9).tolist())) == rows
+    assert enumerate_convergent(9) == whole
+
+
+def test_enumeration_raises_when_a_class_is_lost(monkeypatch):
+    from cellform import kernels
+
+    generate = kernels.convergent_permutations
+    lost = canonical_configuration((1, 3, 5, 2, 7, 4, 6))  # its dual is 1,3,6,2,5,7,4
+    lost_key = kernels.canonical_keys(np.array([lost.sigma]))[0]
+
+    def drop_a_class(n):
+        rows = generate(n)
+        return rows[kernels.canonical_keys(rows) != lost_key]
+
+    monkeypatch.setattr(kernels, "convergent_permutations", drop_a_class)
+    with pytest.raises(ValueError, match=r"N=7: .* duals of 1 of its 4 classes"):
+        enumerate_convergent(7)
 
 
 def test_enumeration_rejects_small_n():

@@ -20,6 +20,22 @@ def test_convergence_paths_agree(n):
     assert np.array_equal(kernels.convergent_mask(batch), expected)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_generated_rows_are_one_per_rotation_and_reflection(n):
+    # first seat 1, and of each reflection pair the row with seat[1] > seat[n-1]
+    want = [p for p in itertools.permutations(range(1, n + 1))
+            if p[0] == 1 and p[1] > p[-1] and is_convergent(p)]
+    rows = kernels.convergent_permutations(n)
+    assert rows.dtype == np.int8
+    assert sorted(map(tuple, rows.tolist())) == want
+
+
+def test_convergence_tables_reject_n_over_15():
+    # The bitmask table has 2^N entries.
+    with pytest.raises(ValueError, match="N=16"):
+        kernels.convergent_mask(np.arange(1, 17, dtype=np.int64)[None, :])
+
+
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_canonical_key_paths_agree(n):
     batch = _perm_batch(n)[:720]
