@@ -46,7 +46,6 @@ from .modforms import (
     ETA6_4Z,
     ETA12_2Z,
     EtaProductSpec,
-    TwoSquares,
     eta_qexp,
     gamma_cm,
     gamma_cm_power_identity,
@@ -56,7 +55,6 @@ from .modforms import (
     two_squares,
 )
 from .ffhyper import (
-    CharacterTable,
     build_table,
     hyp2f1_exact,
     hyp_greene,

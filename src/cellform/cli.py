@@ -21,7 +21,6 @@ from ._primes import odd_primes_in
 from .catalog import Catalog, default_cache_dir
 from .configurations import enumerate_convergent, format_configuration, parse_configuration
 from .congruences import (
-    CongruenceReport,
     verify_ahlgren,
     verify_beukers,
     verify_conjecture1,
@@ -171,20 +170,20 @@ def cmd_modform(args) -> int:
 def cmd_hyper(args) -> int:
     p = args.p
     rows = []
+    exact = {lam: hyp2f1_exact(p, lam) for lam in range(2, p)}
     for lam in range(2, p):
         greene = hyp_greene(p, 1, lam)
-        exact = hyp2f1_exact(p, lam)
-        transform_ok = exact == _phi(p, lam) * hyp2f1_exact(p, pow(lam, -1, p))
+        transform_ok = exact[lam] == _phi(p, lam) * exact[pow(lam, -1, p)]
         truncated_ok = truncated_2f1_mod_p2(p, lam) == truncated_2f1_reference(p, lam)
         rows.append(
             {
                 "p": p,
                 "lambda": lam,
                 "greene": str(greene),
-                "pointcount": str(exact),
+                "pointcount": str(exact[lam]),
                 "transformation": transform_ok,
                 "truncated_mod_p2": truncated_ok,
-                "pass": greene == exact and transform_ok and truncated_ok,
+                "pass": greene == exact[lam] and transform_ok and truncated_ok,
             }
         )
     special = hyp_greene(p, 1, 1) * p == -phi_at_minus_one(p)
@@ -192,53 +191,54 @@ def cmd_hyper(args) -> int:
     return _emit_rows(args, rows)
 
 
-def _report_rows(report: CongruenceReport) -> list[dict]:
-    return [case.to_json() for case in report.cases]
+def _thm1_rows(args) -> list[dict]:
+    ls = range(1, args.l + 1) if args.all_l else [args.l]
+    return [case.to_json() for l in ls for case in verify_thm1(l, args.pmax).cases]
+
+
+def _conj1_rows(args) -> list[dict]:
+    catalog = _open_catalog(args)
+    if args.sigma:
+        configs = [parse_configuration(args.sigma)]
+    elif args.n:
+        configs = enumerate_convergent(args.n).configurations
+    else:
+        raise ValueError("conj1 needs --sigma or --n")
+    rows = [verify_conjecture1(config, args.p, args.m, args.r, catalog).to_json() for config in configs]
+    _compact(catalog)
+    return rows
+
+
+def _lemma_rows(args) -> list[dict]:
+    return [
+        {
+            "id": "LEMMAS",
+            "params": {"p": p, "check": name},
+            "lhs": "",
+            "rhs": "",
+            "modulus": "",
+            "pass": verdict,
+        }
+        for p in odd_primes_in(3, args.pmax + 1)
+        for name, verdict in lemma_suite(p).items()
+        if verdict is not None
+    ]
+
+
+# The statements of `cellform verify`; the parser takes its choices from the keys.
+_STATEMENTS = {
+    "thm1": _thm1_rows,
+    "thm2": lambda args: [case.to_json() for case in verify_thm2(args.pmax).cases],
+    "ahlgren": lambda args: [case.to_json() for case in verify_ahlgren(args.pmax).cases],
+    "beukers": lambda args: [case.to_json() for case in verify_beukers(args.pmax).cases],
+    "coster": lambda args: [verify_coster(which, args.p, args.m, args.r).to_json() for which in ("a", "b")],
+    "conj1": _conj1_rows,
+    "lemmas": _lemma_rows,
+}
 
 
 def cmd_verify(args) -> int:
-    statement = args.statement
-    rows: list[dict] = []
-    if statement == "thm1":
-        for l in range(1, args.l + 1) if args.all_l else [args.l]:
-            rows.extend(_report_rows(verify_thm1(l, args.pmax)))
-    elif statement == "thm2":
-        rows = _report_rows(verify_thm2(args.pmax))
-    elif statement == "ahlgren":
-        rows = _report_rows(verify_ahlgren(args.pmax))
-    elif statement == "beukers":
-        rows = _report_rows(verify_beukers(args.pmax))
-    elif statement == "coster":
-        for which in ("a", "b"):
-            rows.append(verify_coster(which, args.p, args.m, args.r).to_json())
-    elif statement == "conj1":
-        catalog = _open_catalog(args)
-        if args.sigma:
-            configs = [parse_configuration(args.sigma)]
-        elif args.n:
-            configs = enumerate_convergent(args.n).configurations
-        else:
-            raise ValueError("conj1 needs --sigma or --n")
-        for config in configs:
-            rows.append(verify_conjecture1(config, args.p, args.m, args.r, catalog).to_json())
-        _compact(catalog)
-    elif statement == "lemmas":
-        for p in odd_primes_in(3, args.pmax + 1):
-            for name, verdict in lemma_suite(p).items():
-                if verdict is None:
-                    continue
-                rows.append(
-                    {
-                        "id": "LEMMAS",
-                        "params": {"p": p, "check": name},
-                        "lhs": "",
-                        "rhs": "",
-                        "modulus": "",
-                        "pass": verdict,
-                    }
-                )
-
-    return _emit_rows(args, rows)
+    return _emit_rows(args, _STATEMENTS[args.statement](args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("verify", help="run a congruence verification")
-    p.add_argument("statement", choices=("thm1", "thm2", "ahlgren", "beukers", "coster", "conj1", "lemmas"))
+    p.add_argument("statement", choices=tuple(_STATEMENTS))
     p.add_argument("--pmax", type=int, default=100)
     p.add_argument("--l", type=int, default=1, help="power of the zeta(2) sequence (thm1)")
     p.add_argument("--all-l", action="store_true", help="run every l from 1 to --l (thm1)")

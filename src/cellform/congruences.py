@@ -7,7 +7,7 @@ their parameters and rerunning yields identical output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._primes import check_prime, odd_primes_in
 from .catalog import Catalog
@@ -46,10 +46,7 @@ class CongruenceCase:
 
 @dataclass
 class CongruenceReport:
-    cases: list[CongruenceCase] = field(default_factory=list)
-
-    def add(self, case: CongruenceCase) -> None:
-        self.cases.append(case)
+    cases: list[CongruenceCase]
 
     @property
     def total(self) -> int:
@@ -64,27 +61,28 @@ class CongruenceReport:
         return not self.failures
 
 
-def _case(statement, params, lhs, rhs, modulus) -> CongruenceCase:
-    return CongruenceCase(statement, tuple(params), lhs, rhs, modulus)
-
-
 def _half(p_max: int) -> int:
     """The largest (p-1)/2 over odd p <= p_max, or 0."""
     return max(p_max - 1, 0) // 2
+
+
+def _at_half(statement, least, p_max, lhs, rhs, params=()) -> CongruenceReport:
+    """lhs((p-1)/2) against rhs(p) mod p^2, one case per odd prime least <= p <= p_max."""
+    return CongruenceReport(
+        [
+            CongruenceCase(statement, (*params, ("p", p)), lhs((p - 1) // 2), rhs(p), p * p)
+            for p in odd_primes_in(least, p_max + 1)
+        ]
+    )
 
 
 def verify_thm1(l: int, p_max: int) -> CongruenceReport:
     """a((p-1)/2)^l against the weight 2l+1 CM coefficient, mod p^2, p >= 5."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    k = 2 * l + 1
     a = apery_values("a", _half(p_max))
-    report = CongruenceReport()
-    for p in odd_primes_in(5, p_max + 1):
-        lhs = pow(a[(p - 1) // 2], l, p * p)
-        rhs = gamma_cm(k, p)
-        report.add(_case("THM1", [("l", l), ("p", p)], lhs, rhs, p * p))
-    return report
+    lhs = lambda h: pow(a[h], l, (2 * h + 1) ** 2)  # mod p^2 = (2h+1)^2: a[h]^l itself is far larger
+    return _at_half("THM1", 5, p_max, lhs, lambda p: gamma_cm(2 * l + 1, p), (("l", l),))
 
 
 def verify_thm2(p_max: int) -> CongruenceReport:
@@ -97,49 +95,42 @@ def verify_thm2(p_max: int) -> CongruenceReport:
     for n, term in enumerate(swept):
         if term != a_sigma8(n):
             raise ArithmeticError(f"sigma8 sweep gives J({n}) = {term}, a_sigma8({n}) = {a_sigma8(n)}")
-    report = CongruenceReport()
-    for p in odd_primes_in(3, p_max + 1):
-        lhs = a_sigma8((p - 1) // 2)
-        report.add(_case("THM2", [("p", p)], lhs, gamma_eta12_pointcount(p), p * p))
-    return report
+    return _at_half("THM2", 3, p_max, a_sigma8, gamma_eta12_pointcount)
 
 
 def verify_ahlgren(p_max: int) -> CongruenceReport:
     """a((p-1)/2) against the weight-3 eta-product coefficient, p >= 5."""
     series = eta_qexp(ETA6_4Z, p_max)
     a = apery_values("a", _half(p_max))
-    report = CongruenceReport()
-    for p in odd_primes_in(5, p_max + 1):
-        report.add(_case("AHLGREN", [("p", p)], a[(p - 1) // 2], series[p], p * p))
-    return report
+    return _at_half("AHLGREN", 5, p_max, a.__getitem__, series.__getitem__)
 
 
 def verify_beukers(p_max: int) -> CongruenceReport:
     """b((p-1)/2) against the weight-4 eta-product coefficient, odd p."""
     series = eta_qexp(ETA4_2Z_4Z, p_max)
     b = apery_values("b", _half(p_max))
-    report = CongruenceReport()
-    for p in odd_primes_in(3, p_max + 1):
-        report.add(_case("BEUKERS", [("p", p)], b[(p - 1) // 2], series[p], p * p))
-    return report
+    return _at_half("BEUKERS", 3, p_max, b.__getitem__, series.__getitem__)
+
+
+def _check_power_args(p: int, m: int, r: int) -> None:
+    """The arguments of f(m p^r) = f(m p^(r-1)) mod p^(3r): a prime p >= 5 and m, r >= 1."""
+    check_prime(p, least=5)
+    if m < 1 or r < 1:
+        raise ValueError("m and r must be >= 1")
+
+
+def _at_power(statement, params, f, p: int, m: int, r: int) -> CongruenceCase:
+    """f[m p^r] against f[m p^(r-1)] mod p^(3r)."""
+    n = m * p ** (r - 1)
+    return CongruenceCase(statement, (*params, ("p", p), ("m", m), ("r", r)), f[n * p], f[n], p ** (3 * r))
 
 
 def verify_coster(which: str, p: int, m: int, r: int) -> CongruenceCase:
     """f(m p^r) against f(m p^(r-1)) mod p^(3r), f one of the two Apery sequences."""
     if which not in ("a", "b"):
         raise ValueError("which must be 'a' or 'b'")
-    check_prime(p, least=5)
-    if m < 1 or r < 1:
-        raise ValueError("m and r must be >= 1")
-    f = apery_values(which, m * p**r)
-    statement = "COSTER_A" if which == "a" else "COSTER_B"
-    return _case(
-        statement,
-        [("p", p), ("m", m), ("r", r)],
-        f[m * p**r],
-        f[m * p ** (r - 1)],
-        p ** (3 * r),
-    )
+    _check_power_args(p, m, r)
+    return _at_power(f"COSTER_{which.upper()}", (), apery_values(which, m * p**r), p, m, r)
 
 
 def verify_conjecture1(
@@ -150,15 +141,6 @@ def verify_conjecture1(
     A recorded verdict is evidence for the supercongruence conjecture, never a
     proof; values come from the constant-term engine (cache-backed).
     """
-    check_prime(p, least=5)
-    if m < 1 or r < 1:
-        raise ValueError("m and r must be >= 1")
+    _check_power_args(p, m, r)
     record = leading_coefficients(c, m * p**r, catalog)
-    terms = record.terms
-    return _case(
-        "CONJ1",
-        [("sigma", format_configuration(record.config)), ("p", p), ("m", m), ("r", r)],
-        terms[m * p**r],
-        terms[m * p ** (r - 1)],
-        p ** (3 * r),
-    )
+    return _at_power("CONJ1", (("sigma", format_configuration(record.config)),), record.terms, p, m, r)

@@ -9,48 +9,25 @@ route provides an independent value for the 2F1 case.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from ._primes import _phi, check_prime, is_prime
+from ._primes import _phi, check_prime, is_prime, primes_up_to
 from .modforms import legendre_trace
 from .sequences import _binomial_pair_residues, _harmonic_window_residues
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    """Discrete logarithms on F_p^* over a fixed primitive root."""
-
-    p: int
-    generator: int
-    dlog: tuple[int, ...]  # index x in 1..p-1 at dlog[x]; dlog[0] unused
-
-
-def _factorize(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _element_of_order(n: int, m: int) -> int:
     """The first g^((m-1)/n), g = 2, 3, ..., of order exactly n mod the prime m."""
-    prime_factors = _factorize(n)
+    prime_factors = [r for r in primes_up_to(n) if n % r == 0]
     candidates = (pow(g, (m - 1) // n, m) for g in range(2, m))
     return next(w for w in candidates if all(pow(w, n // r, m) != 1 for r in prime_factors))
 
 
-def build_table(p: int) -> CharacterTable:
-    """Find the least primitive root mod p and tabulate discrete logs."""
+def build_table(p: int) -> tuple[int, tuple[int, ...]]:
+    """(g, dlog): the least primitive root g mod p and the discrete logs over it,
+    with g^dlog[x] = x for x in 1..p-1 (dlog[0] is unused)."""
     check_prime(p)
     g = _element_of_order(p - 1, p)
     dlog = [0] * p
@@ -58,7 +35,7 @@ def build_table(p: int) -> CharacterTable:
     for e in range(p - 1):
         dlog[acc] = e
         acc = acc * g % p
-    return CharacterTable(p, g, tuple(dlog))
+    return g, tuple(dlog)
 
 
 # ---------------------------------------------------------------------------
@@ -89,22 +66,21 @@ def _character_field(p: int) -> tuple[int, list[int]]:
 
 def orthogonality_check(p: int, chi_index: int) -> bool:
     """Verify sum_x chi(x) = p-1 for the trivial character and 0 otherwise."""
-    table = build_table(p)
+    _, dlog = build_table(p)
     q, powers = _character_field(p)
-    total = sum(powers[chi_index * table.dlog[x] % (p - 1)] for x in range(1, p)) % q
+    total = sum(powers[chi_index * dlog[x] % (p - 1)] for x in range(1, p)) % q
     expected = p - 1 if chi_index % (p - 1) == 0 else 0
     return total == expected
 
 
-def _greene_binomials(table: CharacterTable, q: int, powers: list[int]) -> list[int]:
+def _greene_binomials(dlog: tuple[int, ...], q: int, powers: list[int]) -> list[int]:
     """Jacobi sums J_chi = p C(phi*chi, chi) mod q for every chi.
 
     C(A, B) = B(-1)/p sum_x A(x) conj(B)(1-x); terms with a zero character
     value drop out.
     """
-    p = table.p
+    p = len(dlog)
     order = p - 1
-    dlog = table.dlog
     phi = order // 2
     dlog_m1 = dlog[p - 1]  # dlog(-1)
     # (dlog x, dlog(1-x)); x=0 kills A(x) and x=1 kills conj(B)(1-x)
@@ -118,14 +94,14 @@ def _greene_binomials(table: CharacterTable, q: int, powers: list[int]) -> list[
 
 
 @lru_cache(maxsize=1)
-def _jacobi_sums(p: int) -> tuple[CharacterTable, int, tuple[int, ...], tuple[int, ...]]:
-    """(table, q, omega powers, Jacobi sums) for p, kept for the last p only.
+def _jacobi_sums(p: int) -> tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]:
+    """(dlog, q, omega powers, Jacobi sums) for p, kept for the last p only.
 
     Building them costs O(p^2); every Greene sum at the same p reuses them.
     """
-    table = build_table(p)
+    _, dlog = build_table(p)
     q, powers = _character_field(p)
-    return table, q, tuple(powers), tuple(_greene_binomials(table, q, powers))
+    return dlog, q, tuple(powers), tuple(_greene_binomials(dlog, q, powers))
 
 
 def hyp_greene(p: int, n_upper: int, x: int) -> Fraction:
@@ -137,11 +113,11 @@ def hyp_greene(p: int, n_upper: int, x: int) -> Fraction:
     """
     if not 1 <= n_upper <= 4:
         raise ValueError("supported range is 2F1 through 5F4")
-    table, q, powers, binoms = _jacobi_sums(p)
+    dlog, q, powers, binoms = _jacobi_sums(p)
     x %= p
     if x == 0:
         return Fraction(0)  # chi(0) = 0 for every chi, including the trivial one
-    dlog_x = table.dlog[x]
+    dlog_x = dlog[x]
     total = sum(pow(b, n_upper + 1, q) * powers[j * dlog_x % (p - 1)] for j, b in enumerate(binoms))
     numerator = p * pow(p - 1, -1, q) * total % q
     if numerator > q // 2:
@@ -187,6 +163,13 @@ def truncated_2f1_reference(p: int, lam: int) -> int:
     return sign * p_2f1 % p2
 
 
+@lru_cache(maxsize=1)
+def _truncation_residues(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """C(m,j) C(m+j,j) mod p^2 and (H_{m+j} - H_j) mod p for j <= m = (p-1)/2,
+    kept for the last p only: they do not depend on lambda."""
+    return tuple(_binomial_pair_residues(p, p * p)), tuple(_harmonic_window_residues(p))
+
+
 def truncated_2f1_mod_p2(p: int, lam: int) -> int:
     """Truncated half-range sum congruent to -phi(-lambda) p 2F1(1/lambda) mod p^2.
 
@@ -201,8 +184,7 @@ def truncated_2f1_mod_p2(p: int, lam: int) -> int:
     omega = teichmuller(lam, p, 2)
     total = 0
     om_pow = 1
-    pairs = _binomial_pair_residues(p, p2)
-    windows = _harmonic_window_residues(p)
+    pairs, windows = _truncation_residues(p)
     for j, (pair, hw) in enumerate(zip(pairs, windows)):
         term = pair * (1 + 2 * j * p * hw) % p2
         if j % 2:

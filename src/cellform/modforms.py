@@ -17,21 +17,8 @@ from ._primes import _phi, check_prime
 from .kernels import legendre_traces
 
 
-@dataclass(frozen=True)
-class TwoSquares:
-    p: int
-    x: int  # odd
-    y: int  # even
-
-    def __post_init__(self):
-        if self.x * self.x + self.y * self.y != self.p:
-            raise ValueError("x^2 + y^2 != p")
-        if self.x % 2 != 1 or self.y % 2 != 0 or self.x < 0 or self.y < 0:
-            raise ValueError("need x positive odd and y positive even")
-
-
-def two_squares(p: int) -> TwoSquares:
-    """The unique decomposition p = x^2 + y^2 with x odd, y even, both positive."""
+def two_squares(p: int) -> tuple[int, int]:
+    """(x, y) with p = x^2 + y^2, x odd and y even, both positive; it is unique."""
     check_prime(p)
     if p % 4 != 1:
         raise ValueError(f"no two-squares decomposition: {p} != 1 (mod 4)")
@@ -39,20 +26,8 @@ def two_squares(p: int) -> TwoSquares:
         y2 = p - x * x
         y = isqrt(y2)
         if y * y == y2:
-            return TwoSquares(p, x, y)
+            return x, y
     raise AssertionError(f"no decomposition found for prime {p} = 1 (mod 4)")
-
-
-def _gauss_power(x: int, y: int, e: int) -> tuple[int, int]:
-    """(x + iy)^e over exact integer pairs."""
-    re, im = 1, 0
-    bre, bim = x, y
-    while e:
-        if e & 1:
-            re, im = re * bre - im * bim, re * bim + im * bre
-        bre, bim = bre * bre - bim * bim, 2 * bre * bim
-        e >>= 1
-    return re, im
 
 
 def gamma_cm(k: int, p: int) -> int:
@@ -62,9 +37,11 @@ def gamma_cm(k: int, p: int) -> int:
     check_prime(p)
     if p % 4 == 3:
         return 0
-    ts = two_squares(p)
-    re, _ = _gauss_power(ts.x, ts.y, k - 1)
-    sign = -1 if ((ts.x + ts.y - 1) * (k - 1) // 2) % 2 else 1
+    x, y = two_squares(p)
+    e = k - 1
+    # Re (x + iy)^e: the even binomial terms, i^t = (-1)^(t/2)
+    re = sum((-1) ** (t // 2) * comb(e, t) * x ** (e - t) * y**t for t in range(0, e + 1, 2))
+    sign = -1 if ((x + y - 1) * e // 2) % 2 else 1
     return sign * 2 * re
 
 

@@ -46,12 +46,11 @@ class PolyRecurrence:
             acc = acc * n + self.coefficients[j][t]
         return acc
 
-    def holds_at(self, seq, n: int) -> bool:
-        total = sum(self.poly_value(j, n) * seq[n + j] for j in range(self.order + 1))
-        return total == 0
-
     def verify(self, seq) -> bool:
-        return all(self.holds_at(seq, n) for n in range(len(seq) - self.order))
+        return all(
+            sum(self.poly_value(j, n) * seq[n + j] for j in range(self.order + 1)) == 0
+            for n in range(len(seq) - self.order)
+        )
 
     def extend(self, seq, count: int) -> list[int]:
         """Forward-predict terms after seq using the recurrence."""
@@ -203,32 +202,19 @@ def _normalize(order, degree, flat) -> PolyRecurrence | None:
     return PolyRecurrence(order, actual_degree, tuple(tuple(row[: actual_degree + 1]) for row in coeffs))
 
 
-def _compose_negated(poly: tuple[Fraction, ...], shift: int) -> tuple[Fraction, ...]:
-    """Coefficients of q(n) = poly(shift - n)."""
-    degree = len(poly) - 1
-    out = [Fraction(0)] * (degree + 1)
-    # poly(shift - n) = sum_t poly[t] (shift - n)^t, expanded binomially
-    from math import comb
-
-    for t, c in enumerate(poly):
-        if c == 0:
-            continue
-        for i in range(t + 1):
-            out[i] += c * comb(t, i) * (-1) ** i * shift ** (t - i)
-    return tuple(out)
-
-
 def check_self_duality_symmetry(rec: PolyRecurrence) -> bool:
     """Exact test of p_j(n) = -p_{4-j}(-5-n) across all five coefficients.
 
-    The identity is invariant under the global scalar normalization the
-    fitter applies, so it can be checked directly.
+    Both sides are polynomials of degree <= rec.degree, so agreement at the
+    degree + 1 points n = 0..degree makes them equal.  The identity for j is
+    the one for 4 - j with n -> -5 - n, so j <= 2 covers all five.  It is
+    invariant under the global scalar normalization the fitter applies, so it
+    can be checked directly.
     """
     if rec.order != 4:
         raise ValueError("symmetry check applies to order-4 recurrences only")
-    for j in range(5):
-        lhs = rec.coefficients[j]
-        rhs = tuple(-c for c in _compose_negated(rec.coefficients[4 - j], -5))
-        if lhs != rhs:
-            return False
-    return True
+    return all(
+        rec.poly_value(j, n) == -rec.poly_value(4 - j, -5 - n)
+        for j in range(3)
+        for n in range(rec.degree + 1)
+    )

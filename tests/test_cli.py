@@ -167,9 +167,7 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
     from cellform.congruences import CongruenceCase, CongruenceReport
 
     def fake_thm2(p_max):
-        report = CongruenceReport()
-        report.add(CongruenceCase("THM2", (("p", 3),), 1, 2, 9))
-        return report
+        return CongruenceReport([CongruenceCase("THM2", (("p", 3),), 1, 2, 9)])
 
     monkeypatch.setattr(cli, "verify_thm2", fake_thm2)
     code, stdout, stderr = run_main(
@@ -250,6 +248,31 @@ def test_hyper_identity_matrix(capsys):
     assert [r["greene"] for r in rows[:-1]] == expected
     assert [r["pointcount"] for r in rows[:-1]] == expected
     assert rows[-1] == {"p": 13, "lambda": 1, "special_value": True, "pass": True}
+
+
+def test_hyper_evaluates_each_2f1_and_the_residue_tables_once(capsys, monkeypatch):
+    import cellform.cli as cli
+    import cellform.ffhyper as ffhyper
+
+    calls = {"hyp2f1_exact": 0, "_binomial_pair_residues": 0, "_harmonic_window_residues": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "hyp2f1_exact")
+    for name in calls:
+        counted(ffhyper, name)
+    ffhyper._truncation_residues.cache_clear()
+    code, _, _ = run_main(["hyper", "--p", "13"], capsys)
+    assert code == 0
+    # One table entry for each lambda = 2..12 and one reference evaluation each.
+    assert calls == {"hyp2f1_exact": 22, "_binomial_pair_residues": 1, "_harmonic_window_residues": 1}
 
 
 def test_fit_subcommand(tmp_path, capsys):

@@ -91,6 +91,33 @@ def test_conjecture1_cases(shared_catalog):
         verify_conjecture1(s8, 5, 1, 0, shared_catalog)
 
 
+@pytest.mark.parametrize(
+    "p, m, r, message",
+    [(3, 1, 1, "p must be a prime >= 5, got 3"), (5, 0, 1, "m and r must be >= 1"), (5, 1, 0, "m and r must be >= 1")],
+    ids=["p=3", "m=0", "r=0"],
+)
+def test_supercongruences_share_one_argument_rule(p, m, r, message, tmp_path, monkeypatch):
+    import cellform.congruences as congruences
+    from cellform.catalog import Catalog
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before the arguments were checked")
+
+    monkeypatch.setattr(congruences, "leading_coefficients", no_sweep)
+    catalog = Catalog(tmp_path / "catalog.json")
+    with pytest.raises(ValueError) as coster:
+        verify_coster("a", p, m, r)
+    with pytest.raises(ValueError) as conj1:
+        verify_conjecture1(SIGMA8, p, m, r, catalog)
+    assert str(coster.value) == str(conj1.value) == message
+    assert not catalog.unsaved and not (tmp_path / "catalog.json").exists()
+
+
+def test_reports_without_a_prime_are_empty():
+    for report in (verify_thm1(1, 4), verify_beukers(2)):
+        assert (report.cases, report.total, report.all_pass) == ([], 0, True)
+
+
 def test_conjecture1_full_small_catalog(shared_catalog):
     for n in (5, 6, 7, 8):
         for config in enumerate_convergent(n).configurations:

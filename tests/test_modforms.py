@@ -22,24 +22,21 @@ from cellform.modforms import (
 # ---------------------------------------------------------------------------
 
 def test_two_squares_small():
-    t = two_squares(5)
-    assert (t.x, t.y) == (1, 2)
-    t = two_squares(13)
-    assert (t.x, t.y) == (3, 2)
+    assert two_squares(5) == (1, 2)
+    assert two_squares(13) == (3, 2)
 
 
 def test_two_squares_bruteforce_agreement():
     for p in odd_primes_in(3, 300):
         if p % 4 != 1:
             continue
-        t = two_squares(p)
         solutions = {
             (x, y)
             for x in range(1, p)
             for y in range(1, p)
             if x * x + y * y == p and x % 2 == 1 and y % 2 == 0
         }
-        assert solutions == {(t.x, t.y)}
+        assert solutions == {two_squares(p)}
 
 
 def test_two_squares_rejects():
@@ -70,8 +67,8 @@ def test_gamma_cm_rejects():
 def test_gamma_cm_sign_flip_invariance():
     # the sign prefactor and the power sum co-vary under (x,y) -> (-x,y), (x,-y)
     def variant(k, p, sx, sy):
-        t = two_squares(p)
-        x, y = sx * t.x, sy * t.y
+        x, y = two_squares(p)
+        x, y = sx * x, sy * y
         re, im = 1, 0
         for _ in range(k - 1):
             re, im = re * x - im * y, re * y + im * x

@@ -65,6 +65,26 @@ def test_symmetry_negative_control():
     assert not check_self_duality_symmetry(broken)
 
 
+# p_j(n) = -p_{4-j}(-5-n) for every j: p_0 = n^2, p_1 = n, p_2 = 2n + 5,
+# p_3 = n + 5, p_4 = -(n + 5)^2 (coefficients from degree 0 up).
+SYMMETRIC_DEGREE_2 = ((0, 0, 1), (0, 1, 0), (5, 2, 0), (5, 1, 0), (-25, -10, -1))
+
+
+def test_symmetry_holds_for_a_symmetric_recurrence():
+    as_fractions = tuple(tuple(Fraction(c) for c in row) for row in SYMMETRIC_DEGREE_2)
+    assert check_self_duality_symmetry(PolyRecurrence(4, 2, as_fractions))
+    constant = tuple((Fraction(c),) for c in (1, 2, 0, -2, -1))
+    assert check_self_duality_symmetry(PolyRecurrence(4, 0, constant))
+    assert not check_self_duality_symmetry(PolyRecurrence(4, 0, constant[:2] + ((Fraction(1),),) + constant[3:]))
+
+
+@pytest.mark.parametrize("j", range(5))
+def test_symmetry_sees_the_top_coefficient(j):
+    rows = [[Fraction(c) for c in row] for row in SYMMETRIC_DEGREE_2]
+    rows[j][2] += 1
+    assert not check_self_duality_symmetry(PolyRecurrence(4, 2, tuple(tuple(row) for row in rows)))
+
+
 def test_fit_survives_unlucky_primes(monkeypatch):
     # 2, 3 and 5 drop the rank of the apery_a system; the pivot rule skips them
     cases = [([apery_a(n) for n in range(30)], 2, 2), ([1] * 30, 1, 0)]
