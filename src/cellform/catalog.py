@@ -16,10 +16,10 @@ engine version and a sha256 of the lines below it.
   the two reads.  An entry line is parsed and validated when it is first read
   (``entries`` and ``save`` read them all); older snapshots without a sha256
   are parsed whole.
-- ``save`` compacts under the exclusive lock: it re-reads both files,
-  overlays the entries this instance added, replaces the snapshot atomically
-  (temp file and rename) and truncates the journal.  Another process's
-  stores and compactions are never lost.
+- ``save`` compacts under the exclusive lock: it re-reads both files, adds
+  each entry this instance holds that they lack, replaces the snapshot
+  atomically (temp file and rename) and truncates the journal.  Another
+  process's stores and compactions are never lost or overwritten.
 
 An entry's ``intervals`` is the model its writer passed: ``store`` overwrites
 the entry, ``add_configuration`` never does, and the CLI passes the best model
@@ -42,11 +42,11 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-ENV_CACHE_DIR = "CELLFORM_CACHE_DIR"
+from .configurations import dual, format_configuration
 
 
 def default_cache_dir() -> Path:
-    env = os.environ.get(ENV_CACHE_DIR)
+    env = os.environ.get("CELLFORM_CACHE_DIR")
     if env:
         return Path(env)
     return Path(os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache")) / "cellform"
@@ -62,9 +62,7 @@ class CatalogEntry:
     dual: str = ""
 
     def __post_init__(self) -> None:
-        self.validate()  # entries built by _put and read from disk alike
-
-    def validate(self) -> None:
+        # Entries built by _put and read from disk alike.
         if self.terms and self.terms[0] != "1":
             raise ValueError(f"terms for {self.sigma} must start with 1")
         if self.intervals and len(self.intervals) != self.n_points - 2:
@@ -109,13 +107,10 @@ class Catalog:
 
     ENGINE_VERSION = "cellform-ct-1"
 
-    def __init__(self, path: str | Path | None = None):
-        if path is None:
-            path = default_cache_dir() / "catalog.json"
+    def __init__(self, path: str | Path):
         self.path = Path(path)
         self.journal = self.path.with_name(self.path.name + ".journal")
-        self._added: set[str] = set()  # added since load or save, on disk only after save()
-        self._stored = False  # journal lines appended since load or save
+        self._changed = False  # entries stored or added since load or save
         try:
             fd = os.open(self.journal, os.O_RDONLY)
         except FileNotFoundError:
@@ -139,7 +134,7 @@ class Catalog:
     @property
     def unsaved(self) -> bool:
         """True when this instance changed entries since it loaded or saved."""
-        return self._stored or bool(self._added)
+        return self._changed
 
     # -- reading -----------------------------------------------------------
     # Anything malformed raises naming the file: starting empty instead would
@@ -232,16 +227,19 @@ class Catalog:
             os.write(fd, (line + "\n").encode())
         finally:
             os.close(fd)
-        self._added.discard(entry.sigma)
-        self._stored = True
+        self._changed = True
 
     def save(self) -> None:
-        """Compact: merge this instance's additions into the on-disk catalog."""
+        """Compact: merge every entry this instance holds into the on-disk
+        catalog, keeping the disk's entry where both hold a sigma.  Within one
+        engine version no compaction drops an entry, so only this instance's
+        additions are new; after a rewrite under another engine version this
+        instance writes back everything it holds."""
         fd = self._lock()
         try:
             entries = self._read(fd)
-            for sigma in self._added:
-                entries.setdefault(sigma, self._entries[sigma])  # additions never overwrite
+            for sigma, entry in self._entries.items():
+                entries.setdefault(sigma, entry)
             for sigma in entries:
                 self._built(entries, sigma)  # a malformed line raises before anything is written
             self._write_snapshot(entries, os.fstat(fd).st_mode & 0o777)
@@ -249,8 +247,7 @@ class Catalog:
         finally:
             os.close(fd)
         self._entries = entries
-        self._added.clear()
-        self._stored = False
+        self._changed = False
 
     def _write_snapshot(self, entries: dict[str, CatalogEntry], mode: int) -> None:
         """Replace the snapshot atomically, with the journal's file mode
@@ -285,8 +282,6 @@ class Catalog:
     def _put(self, config, convergent: bool, intervals, terms=(), dual_config=None) -> CatalogEntry:
         """Build, validate and insert the entry of config, its dual included
         (computed here unless the caller already has it)."""
-        from .configurations import dual, format_configuration
-
         entry = CatalogEntry(
             sigma=format_configuration(config),
             n_points=config.n_points,
@@ -299,7 +294,6 @@ class Catalog:
         return entry
 
     def add_configuration(self, config, convergent: bool, intervals=(), dual_config=None) -> None:
-        from .configurations import format_configuration
-
         if format_configuration(config) not in self._entries:
-            self._added.add(self._put(config, convergent, intervals, dual_config=dual_config).sigma)
+            self._put(config, convergent, intervals, dual_config=dual_config)
+            self._changed = True

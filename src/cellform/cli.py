@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from ._primes import odd_primes_in
+from ._primes import _phi, odd_primes_in
 from .catalog import Catalog, default_cache_dir
 from .configurations import enumerate_convergent, format_configuration, parse_configuration
 from .congruences import (
@@ -30,7 +30,6 @@ from .congruences import (
 )
 from .ctengine import best_model, leading_coefficients
 from .ffhyper import (
-    _phi,
     hyp2f1_exact,
     hyp_greene,
     phi_at_minus_one,
@@ -259,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate convergent configurations")
     p.add_argument("--n", type=int, required=True)
-    common(p, out=True)
+    common(p.add_mutually_exclusive_group(), out=True)  # both choose where the catalog goes
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("coeffs", help="leading coefficients of a configuration")

@@ -39,13 +39,13 @@ from cellform.ffhyper import (
     truncated_2f1_mod_p2,
     truncated_2f1_reference,
 )
+from cellform.kernels import legendre_traces
 from cellform.modforms import (
     ETA6_4Z,
     ETA12_2Z,
     eta_qexp,
     gamma_cm,
     gamma_eta12_pointcount,
-    legendre_traces,
 )
 from cellform.recfit import check_self_duality_symmetry, fit
 from cellform.sequences import a_sigma8, apery_a, apery_b, lemma_suite

@@ -111,6 +111,27 @@ def test_save_of_an_unchanged_catalog_writes_the_same_entries(n8):
     assert path.read_bytes() == before
 
 
+def test_save_keeps_newer_terms_that_another_instance_saved(tmp_path):
+    # A stale in-memory copy of an entry must never overwrite newer terms on disk.
+    path = tmp_path / "catalog.json"
+    x, y = enumerate_convergent(7).configurations[:2]
+    key = format_configuration(x)
+    seed = Catalog(path)
+    leading_coefficients(x, 2, seed)
+    seed.save()
+    a = Catalog(path)
+    assert len(a.get_terms(key)) == 3  # A holds J(0..2) of X
+    b = Catalog(path)
+    leading_coefficients(x, 5, b)
+    b.save()
+    a.add_configuration(y, True, best_model(y).factors)
+    a.save()
+    entries = json.loads(path.read_bytes())["entries"]
+    assert entries[key]["terms"] == [str(t) for t in b.get_terms(key)]
+    assert len(entries[key]["terms"]) == 6
+    assert format_configuration(y) in entries
+
+
 @pytest.mark.parametrize(
     "lines",
     [

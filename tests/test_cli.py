@@ -316,6 +316,23 @@ def test_verify_conj1_takes_sigma_or_n_not_both(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "catalog.json").exists()
 
 
+def test_enumerate_takes_out_or_cache_dir_not_both(tmp_path, monkeypatch, capsys):
+    # Both options used to write --out alone and drop --cache-dir silently,
+    # while the manifest still listed it.
+    import cellform.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration ran before the options were rejected")
+
+    monkeypatch.setattr(cli, "enumerate_convergent", no_work)
+    out, cache = tmp_path / "a.json", tmp_path / "other"
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--n", "7", "--out", str(out), "--cache-dir", str(cache)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_sigma8_via_cli(capsys):
     code, stdout, _ = run_main(
         ["fit", "--sequence", "sigma8", "--terms", "120", "--order", "4", "--degree", "15"],

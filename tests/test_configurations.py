@@ -374,7 +374,8 @@ def test_enumeration_rejects_small_n():
 
 
 def test_enumeration_rejects_overflowing_n_before_scanning(monkeypatch):
-    # The key guard used to fire only after the scan of (N-1)! rows.
+    # N=16 overflows the int64 canonical keys; the key-width check rejects it
+    # before convergent_permutations generates any row.
     from cellform import kernels
 
     def no_scan(n):

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cellform._primes import odd_primes_in
+from cellform._primes import _phi, odd_primes_in
 from cellform.ffhyper import (
-    _phi,
     build_table,
     hyp2f1_exact,
     hyp_greene,

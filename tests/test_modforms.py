@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cellform._primes import odd_primes_in
+from cellform.kernels import legendre_traces
 from cellform.modforms import (
     ETA4_2Z_4Z,
     ETA6_4Z,
@@ -12,7 +13,6 @@ from cellform.modforms import (
     gamma_cm_power_identity,
     gamma_eta12_pointcount,
     legendre_trace,
-    legendre_traces,
     two_squares,
 )
 
