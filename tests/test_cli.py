@@ -210,6 +210,8 @@ PINNED_OUTPUTS = {
     "verify conj1 --n 7 --p 5": "e2d185d6ce91265b39243588e49136e4fb44c860acd0288fb1a244e4eaafe338",
     "coeffs --sigma 8,3,6,1,4,7,2,5 --terms 12":
         "3deed6b31340d20c16b69a2e952c48d4927618955c5456501c78225318c295e8",
+    "coeffs --sigma 1,3,5,7,2,8,4,9,6 --terms 14":
+        "2f38cb18376c980a0c34c8e398785a480cfbf8f5e6607fdc60dbf3699a74e37a",
     "verify thm1 --pmax 499 --l 4 --all-l":
         "ca5b963de3f49d6cce357443ab800cc91abb76e254b345a63ec16db2f963c80e",
     "verify ahlgren --pmax 299": "91009ce1a8b7abedaa9aa0e54097caa49a7a2a3c265759a0682e5253ce742856",

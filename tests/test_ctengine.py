@@ -115,6 +115,19 @@ def test_constant_term_of_every_best_model_against_naive_oracle():
                 assert constant_term(model, n) == naive_coefficient(model, n), (c, n)
 
 
+def test_constant_term_closing_above_an_open_variable_against_naive_oracle():
+    # At the factor (4, 7) variables 4 and 7 are covered for the last time
+    # while 5 and 6 stay open, so the closed digits are not the lowest ones.
+    model = IntervalFormProduct(7, ((1, 3), (1, 4), (2, 5), (3, 5), (3, 7), (4, 7), (5, 6)))
+    last = {v: i for i, (a, b) in enumerate(model.factors) for v in range(a, b + 1)}
+    assert any(
+        last[v] == i and any(u < v and last[u] > i for u in range(1, v))
+        for i, (a, b) in enumerate(model.factors) for v in range(a, b + 1)
+    )
+    for n in (1, 2):
+        assert constant_term(model, n) == naive_coefficient(model, n)
+
+
 def test_constant_term_sigma5_n1_by_hand():
     # (x1+x2+x3)(x2+x3)(x1+x2) has x1 x2 x3 coefficient 3
     assert constant_term(linear_form_model(SIGMA5), 1) == 3
