@@ -7,12 +7,20 @@
 commit); the change is the checkout holding this script.  Each pair runs a
 workload once in each, the parent first in even pairs, so a drift in the
 host's speed falls on both.  The perfbench workloads run
-``perfbench/run.py --trace 0``.  ``cli_enumerate_n11`` runs
-``cellform enumerate --n 11 --out X`` in a fresh interpreter from each
-checkout's ``src/`` and records its wall time and peak RSS; a run fails if it
-exits nonzero or prints another count line, and the change's run fails if its
-catalog is not byte-identical to the parent's.  WORKLOAD=PAIRS sets a pair
-count (default: 3 of each workload).  The file keeps every pair's metrics
+``perfbench/run.py --trace 0``.  The CLI workloads run one command in a fresh
+interpreter from each checkout's ``src/`` and record its wall time and peak
+RSS; a run fails if it exits nonzero:
+
+- ``cli_enumerate_n11`` runs ``cellform enumerate --n 11 --out X``.  A run
+  fails if it prints another count line.  The change's run fails unless its
+  catalog equals the parent's with every entry's ``intervals`` set aside and
+  its ``intervals`` have the sha256 ``ENUMERATE_N11_INTERVALS`` (the seat
+  image that ``best_model`` picks is recorded there, and it may change).
+- ``cli_conj1_n10_p5`` runs ``cellform verify conj1 --n 10 --p 5 --out X`` on
+  an empty ``--cache-dir``.  A run fails unless its rows have the sha256
+  ``CONJ1_N10_P5_ROWS`` (all 771 classes pass).
+
+WORKLOAD=PAIRS sets a pair count (default: 3 of each workload).  The file keeps every pair's metrics
 and failed ops, the medians, the parent's interquartile range, the pairs in
 which the change was lower, each side's sha256 of ``src/`` and line count of
 ``src/cellform`` (as ``wc -l``) and the machine.
@@ -32,8 +40,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("enumerate", "conj1_cold", "catalog_mixed", "congruences")
-CLI_WORKLOAD = "cli_enumerate_n11"
-CLI_LINE = "N=11: 7028 convergent configurations (3565 up to duality) -> "
+CLI_WORKLOADS = {
+    "cli_enumerate_n11": ["enumerate", "--n", "11"],
+    "cli_conj1_n10_p5": ["verify", "conj1", "--n", "10", "--p", "5"],
+}
+ENUMERATE_N11_LINE = "N=11: 7028 convergent configurations (3565 up to duality) -> "
+ENUMERATE_N11_INTERVALS = "448479b1e1437f2cce8ccee601aa8467002b746075dd2e71d4d5baf89d43a669"
+CONJ1_N10_P5_ROWS = "66687ab8250cf8621fd5dbdd0b583524bab9dd0bf7e4e7f3311307f67824bffa"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def src_digest(root: Path) -> str:
@@ -57,9 +74,11 @@ def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dic
     return {"metrics": metrics, "attempted": line["attempted"], "failed": line["failed"]}, machine
 
 
-def run_cli(root: Path, out: Path) -> dict:
-    """cellform enumerate --n 11 --out OUT with the package of root."""
-    cmd = [sys.executable, "-m", "cellform.cli", "enumerate", "--n", "11", "--out", str(out)]
+def run_cli(root: Path, workload: str, out: Path) -> dict:
+    """The workload's cellform command with --out OUT and the package of root."""
+    cmd = [sys.executable, "-m", "cellform.cli", *CLI_WORKLOADS[workload], "--out", str(out)]
+    if workload == "cli_conj1_n10_p5":
+        cmd += ["--cache-dir", str(out.with_suffix(".cache"))]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     start = time.perf_counter()
     proc = subprocess.Popen(cmd, cwd=out.parent, env=env, stdout=subprocess.PIPE, text=True)
@@ -68,24 +87,38 @@ def run_cli(root: Path, out: Path) -> dict:
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     proc.stdout.close()
-    ok = proc.returncode == 0 and printed.startswith(CLI_LINE)
+    if workload == "cli_enumerate_n11":
+        ok = proc.returncode == 0 and printed.startswith(ENUMERATE_N11_LINE)
+    else:
+        ok = proc.returncode == 0 and out.exists() and sha256(out.read_bytes()) == CONJ1_N10_P5_ROWS
     return {"metrics": {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024},
             "attempted": 1, "failed": int(not ok)}
+
+
+def same_catalog_but_intervals(parent: Path, change: Path) -> bool:
+    """The two catalogs agree with every entry's intervals set aside, and the
+    change's intervals are the pinned ones."""
+    if not (parent.exists() and change.exists()):
+        return False
+    old, new = (json.loads(path.read_bytes())["entries"] for path in (parent, change))
+    intervals = {sigma: entry.pop("intervals") for sigma, entry in new.items()}
+    for entry in old.values():
+        del entry["intervals"]
+    return old == new and sha256(json.dumps(intervals, sort_keys=True).encode()) == ENUMERATE_N11_INTERVALS
 
 
 def run_pair(sides: dict, workload: str, first: str, seed: int, seconds: float, report: dict) -> dict:
     pair = {}
     with tempfile.TemporaryDirectory() as tmp:
         for side in (first, "change" if first == "parent" else "parent"):
-            if workload == CLI_WORKLOAD:
-                pair[side] = run_cli(sides[side], Path(tmp) / f"{side}.json")
+            if workload in CLI_WORKLOADS:
+                pair[side] = run_cli(sides[side], workload, Path(tmp) / f"{side}.json")
             else:
                 pair[side], report["machine"] = run(sides[side], workload, seed, seconds)
             print(workload, side, json.dumps(pair[side]), flush=True)
-        if workload == CLI_WORKLOAD:
-            catalogs = [Path(tmp, f"{side}.json") for side in ("parent", "change")]
-            if not all(c.exists() for c in catalogs) or catalogs[0].read_bytes() != catalogs[1].read_bytes():
-                pair["change"]["failed"] = 1
+        if workload == "cli_enumerate_n11" and not same_catalog_but_intervals(
+                Path(tmp, "parent.json"), Path(tmp, "change.json")):
+            pair["change"]["failed"] = 1
     return pair
 
 
@@ -97,7 +130,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("pairs", nargs="*", help="WORKLOAD=PAIRS")
     args = ap.parse_args(argv)
-    counts = dict.fromkeys(WORKLOADS + (CLI_WORKLOAD,), 3) if not args.pairs else {
+    counts = dict.fromkeys(WORKLOADS + tuple(CLI_WORKLOADS), 3) if not args.pairs else {
         w: int(n) for w, n in (item.split("=") for item in args.pairs)}
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     report = {"label": args.label, "seed": args.seed, "seconds": args.seconds,

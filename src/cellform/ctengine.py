@@ -8,12 +8,16 @@ then the coefficient of (x_1...x_d)^n in the n-th power of that product,
 extracted exactly by an interval sweep: factors are consumed sorted by left
 endpoint, exponents are capped at n, and a variable is projected out with its
 exponent pinned to n as soon as its last covering factor has been consumed;
-one sweep plan per model fixes that schedule.  All coefficients are
-arbitrary-precision integers.  The model swept is the cheapest one given by
-the 2N seat images of a class's representative, ranked by their plans.
+one sweep plan per model fixes that schedule.  Digits sit in the packed keys
+by closing rank, so a closing step reads and drops only its closing digits,
+the lowest ones.  All coefficients are arbitrary-precision integers.  The
+model swept is the one of the 2N seat images of a class's representative
+whose sweep is estimated to do the least work at the reference n = 10
+(_RANK_N), whatever n is asked for.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,81 +105,86 @@ def linear_form_model(sigma) -> IntervalFormProduct:
 
 def _linear_pass(state, weights, n):
     """Multiply the state once by the sum of the variables at the given digit
-    weights, dropping every term whose exponent would pass the cap n."""
-    base = n + 1
+    weights, dropping every term whose exponent would pass the cap n.
+
+    The digit at weight w is below n exactly when key % (w*(n+1)) < n*w,
+    since every digit is at most n: one test per weight and term."""
     new = {}
     get = new.get
-    for key, coef in state.items():
-        for w in weights:
-            if (key // w) % base < n:
+    items = state.items()
+    for w in weights:
+        span = w * (n + 1)
+        cap = n * w
+        for key, coef in items:
+            if key % span < cap:
                 k2 = key + w
                 new[k2] = get(k2, 0) + coef
     return new
 
 
-def _sweep_plan(factors) -> list[tuple[int, int, int, list[int]]]:
-    """The sweep's schedule: one step (width, lo, hi, closing) per factor.
+def _last_cover(factors) -> list[int]:
+    """last[v-1]: index of the last of the sorted factors to cover variable v
+    (a model has as many variables as factors)."""
+    last = [0] * len(factors)
+    for i, (a, b) in enumerate(factors):
+        last[a - 1 : b] = [i] * (b - a + 1)
+    return last
 
-    Factors are consumed by left endpoint, so the variables seen so far are
-    1..top and the open ones sit in the packed keys in increasing order: a
-    step's keys have width digits, its factor covers digits lo..hi-1, and the
-    digits in closing (variables it covers last) are dropped after it."""
+
+def _sweep_plan(factors) -> list[tuple[list[int], int]]:
+    """The sweep's schedule: one step (positions, closing) per factor.
+
+    Factors are consumed by left endpoint.  A variable's digit sits in the
+    packed keys by closing rank, the order in which the variables are covered
+    for the last time, so the closing variables of every step hold its lowest
+    digits: the step's factor covers the digits in positions, and the lowest
+    closing of them are dropped after it."""
     factors = sorted(factors)
-    last = {v: i for i, (a, b) in enumerate(factors) for v in range(a, b + 1)}
-    closes: list[list[int]] = [[] for _ in factors]
-    for v, i in last.items():
-        closes[i].append(v)
-    open_vars: list[int] = []
-    top = 0
+    last = _last_cover(factors)
+    rank = [0] * len(last)
+    for r, v in enumerate(sorted(range(len(last)), key=last.__getitem__)):
+        rank[v] = r
     plan = []
-    for (a, b), closed in zip(factors, closes):
-        if b > top:
-            open_vars += range(top + 1, b + 1)
-            top = b
-        lo = open_vars.index(a)
-        plan.append((len(open_vars), lo, lo + b - a + 1, [lo + v - a for v in closed]))
-        for v in closed:
-            open_vars.remove(v)
+    closed = 0
+    for i, (a, b) in enumerate(factors):
+        closing = last.count(i)
+        plan.append(([rank[v] - closed for v in range(a - 1, b)], closing))
+        closed += closing
     return plan
 
 
-def _closing_multiply(state, step, n, fact):
+def _closing_multiply(state, positions, closing, n, fact):
     """Multiply by a factor power while pinning the closing variables to n.
 
-    The digits come from the plan step.  Each closing variable's share of the
-    factor is forced, the remaining degree is spread over the factor's
-    surviving variables with multinomial weights, and the closed digits are
-    projected out of the packed keys.
+    The closing digits are the lowest ones, so one divmod splits each key into
+    the surviving key and the pattern of closing digits.  Each closing
+    variable's share of the factor is forced by the pattern, the remaining
+    degree r is spread over the factor's surviving variables with multinomial
+    weights, and the weight and bucket of a pattern are worked out once.
     """
-    width, lo, hi, closing = step
     base = n + 1
-    survivors = [pos for pos in range(width) if pos not in closing]
-    kept = [(pos, base ** j) for j, pos in enumerate(survivors)]
-    open_w = [w for pos, w in kept if lo <= pos < hi]
+    low = base ** closing
+    open_w = [base ** (p - closing) for p in positions if p >= closing]
 
     # Pin the closing exponents: each term lands in a bucket by the leftover
     # degree r its factor share must spread over the surviving variables.
     buckets: dict[int, dict[int, int]] = {}
+    shares: dict[int, tuple] = {}
     for key, coef in state.items():
-        digits = []
-        k = key
-        for _ in range(width):
-            k, dg = divmod(k, base)
-            digits.append(dg)
-        r = n
-        outer = fact[n]
-        for p in closing:
-            kk = n - digits[p]
-            r -= kk
-            outer //= fact[kk]
-        if r < 0:
-            continue
-        outer //= fact[r]
-        base_key = 0
-        for pos, w in kept:
-            base_key += digits[pos] * w
-        bucket = buckets.setdefault(r, {})
-        bucket[base_key] = bucket.get(base_key, 0) + coef * outer
+        rest, pattern = divmod(key, low)
+        share = shares.get(pattern)
+        if share is None:
+            r = n - closing * n
+            outer = fact[n]
+            digits = pattern
+            for _ in range(closing):
+                digits, dg = divmod(digits, base)
+                r += dg
+                outer //= fact[n - dg]
+            share = shares[pattern] = (buckets.setdefault(r, {}), outer // fact[r]) if r >= 0 else ()
+        if share:
+            bucket, outer = share
+            bucket[rest] = bucket.get(rest, 0) + coef * outer
 
     if not open_w:
         return buckets.get(0, {})
@@ -199,16 +208,16 @@ def constant_term(model: IntervalFormProduct, n: int) -> int:
         return 1
     fact = [math.factorial(i) for i in range(n + 1)]
 
-    # terms maps packed exponent keys (base n+1 digits <= n, one per open
-    # variable) to integer coefficients; a variable's digit is dropped at its
-    # closing step, where only its exponent-n terms survive.
+    # terms maps packed exponent keys (base n+1 digits <= n, one per variable
+    # not yet closed, by closing rank) to integer coefficients; a variable's
+    # digit is dropped at its closing step, where only its exponent-n terms
+    # survive.
     terms = {0: 1}
-    for step in _sweep_plan(model.factors):
-        _, lo, hi, closing = step
+    for positions, closing in _sweep_plan(model.factors):
         if closing:
-            terms = _closing_multiply(terms, step, n, fact)
+            terms = _closing_multiply(terms, positions, closing, n, fact)
         else:
-            weights = [(n + 1) ** p for p in range(lo, hi)]
+            weights = [(n + 1) ** p for p in positions]
             for _ in range(n):
                 terms = _linear_pass(terms, weights, n)
     # The unspecialized final variable is pinned by homogeneity, never filtered;
@@ -218,24 +227,65 @@ def constant_term(model: IntervalFormProduct, n: int) -> int:
     return terms.get(0, 0)
 
 
-def _sweep_cost(factors: tuple[tuple[int, int], ...]) -> tuple:
-    """Proxy for sweep cost: window widths as the factors are consumed."""
-    widths = [width for width, _, _, _ in _sweep_plan(factors)]
-    return (max(widths), sum(4 ** w for w in widths))
+# The exponent bound at which plans are ranked; a constant, so a class always
+# gets the same model.
+_RANK_N = 10
+
+
+@functools.cache
+def _lattice_count(width: int, n: int, total: int) -> int:
+    """Exponent vectors in [0, n]^width with the given total degree."""
+    if width == 0 or total <= 0:
+        return int(total == 0)
+    return sum(_lattice_count(width - 1, n, total - e) for e in range(min(n, total) + 1))
+
+
+@functools.cache
+def _step_cost(width: int, covered: int, closing: int, filled: int) -> int:
+    """Estimated dict operations of one sweep step at n = _RANK_N.
+
+    The state entering the step has total degree filled*n over width open
+    variables and is counted as every such exponent vector.  A non-closing
+    step makes n linear passes; a closing step makes one bucket pass and then
+    a Horner pass per leftover degree over its surviving variables."""
+    n = _RANK_N
+    total = filled * n
+    if not closing:
+        return covered * sum(_lattice_count(width, n, total + j) for j in range(n))
+    out = total + n - closing * n
+    horner = sum(_lattice_count(width - closing, n, out - r) for r in range(1, n + 1))
+    return _lattice_count(width, n, total) + (covered - closing) * horner
+
+
+def _sweep_cost(factors: tuple[tuple[int, int], ...]) -> int:
+    """Estimated work of the sweep over sorted factors: its steps' costs."""
+    last = _last_cover(factors)
+    cost = top = closed = 0
+    for i, (a, b) in enumerate(factors):
+        top = max(top, b)
+        closing = last.count(i)
+        cost += _step_cost(top - closed, b - a + 1, closing, i - closed)
+        closed += closing
+    return cost
 
 
 def best_model(c: Configuration) -> IntervalFormProduct:
     """Cheapest-to-sweep model among the dihedral representatives of c.
 
     The constant term does not depend on the representative (tested as a
-    package invariant), so the narrowest sweep window is used.  Only the 2N
-    seat images count: a dihedral relabelling of the values permutes the
-    cyclic pairs (j, j+1) and moves v_inf with them, and it leaves the seat
-    positions alone, so the interval set is the same.  Only the winner is
-    built and validated as a product.
+    package invariant), so the model whose sweep is estimated to do the least
+    work at the reference n = 10 (_RANK_N) is used, ties going to the smaller
+    factor tuple.  The estimate counts each step's state as every exponent
+    vector of its width and total degree: a non-closing step costs n linear
+    passes over its covered digits, and a closing step one bucket pass, which
+    reads only the closing digits, plus its Horner passes.  Only the 2N seat
+    images count: a dihedral relabelling of the values permutes the cyclic
+    pairs (j, j+1) and moves v_inf with them, and it leaves the seat positions
+    alone, so the interval set is the same.  Only the winner is built and
+    validated as a product.
     """
     seq = _convergent_sigma(c)
-    factors = min(map(_interval_factors, dihedral_images(seq)), key=lambda f: (*_sweep_cost(f), f))
+    factors = min(map(_interval_factors, dihedral_images(seq)), key=lambda f: (_sweep_cost(f), f))
     return IntervalFormProduct(len(seq) - 2, factors)
 
 
