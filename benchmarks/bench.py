@@ -20,10 +20,11 @@ RSS; a run fails if it exits nonzero:
   an empty ``--cache-dir``.  A run fails unless its rows have the sha256
   ``CONJ1_N10_P5_ROWS`` (all 771 classes pass).
 
-WORKLOAD=PAIRS sets a pair count (default: 3 of each workload).  The file keeps every pair's metrics
-and failed ops, the medians, the parent's interquartile range, the pairs in
-which the change was lower, each side's sha256 of ``src/`` and line count of
-``src/cellform`` (as ``wc -l``) and the machine.
+WORKLOAD=PAIRS sets a pair count (default: 3 of each workload).  The file
+keeps every pair's metrics and failed ops, the medians, the parent's
+interquartile range, the pairs in which the change was lower, each side's
+sha256 of ``src/`` and line count of ``src/cellform`` (as ``wc -l``) and the
+machine.
 """
 from __future__ import annotations
 
