@@ -4,12 +4,15 @@
         [--seed 0] [WORKLOAD=PAIRS ...]
 
 ``--parent`` is a checkout to compare against (``git clone`` of the parent
-commit); the change is the checkout holding this script.  Each pair runs a
-workload once in each, the parent first in even pairs, so a drift in the
-host's speed falls on both.  The perfbench workloads run
-``perfbench/run.py --trace 0``.  The CLI workloads run one command in a fresh
-interpreter from each checkout's ``src/`` and record its wall time and peak
-RSS; a run fails if it exits nonzero:
+commit); the change is the checkout holding this script.  Both sides'
+``src/`` and ``perfbench/`` are copied into one fresh temporary directory and
+run from there, so neither side runs from a working tree with its own run
+files and bytecode caches.  Each pair runs a workload once in each, the
+parent first in even pairs, so a drift in the host's speed falls on both.
+The perfbench workloads run ``perfbench/run.py --trace 0``.  The CLI
+workloads run one command in a fresh interpreter from each side's copied
+``src/`` and record its wall time and peak RSS; a run fails if it exits
+nonzero:
 
 - ``cli_enumerate_n11`` runs ``cellform enumerate --n 11 --out X``.  A run
   fails if it prints another count line.  The change's run fails unless its
@@ -32,6 +35,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -63,6 +67,13 @@ def src_digest(root: Path) -> str:
 
 def src_lines(root: Path) -> int:
     return sum(f.read_bytes().count(b"\n") for f in (root / "src" / "cellform").rglob("*.py"))
+
+
+def staged(root: Path, dest: Path) -> Path:
+    """dest holding a copy of root's src/ and perfbench/, bytecode caches left out."""
+    for part in ("src", "perfbench"):
+        shutil.copytree(root / part, dest / part, ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
 
 
 def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -133,21 +144,23 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     counts = dict.fromkeys(WORKLOADS + tuple(CLI_WORKLOADS), 3) if not args.pairs else {
         w: int(n) for w, n in (item.split("=") for item in args.pairs)}
-    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     report = {"label": args.label, "seed": args.seed, "seconds": args.seconds,
-              "src_sha256": {side: src_digest(root) for side, root in sides.items()},
-              "src_lines": {side: src_lines(root) for side, root in sides.items()}, "workloads": {}}
-    for workload, n in counts.items():
-        pairs = [run_pair(sides, workload, "parent" if i % 2 == 0 else "change", args.seed,
-                          args.seconds, report) for i in range(n)]
-        summary = {"pairs": pairs, "median": {}, "parent_iqr": {}, "change_better": {}}
-        for metric in pairs[0]["parent"]["metrics"]:  # each lower is better
-            values = {side: [p[side]["metrics"][metric] for p in pairs] for side in sides}
-            summary["median"][metric] = {side: statistics.median(v) for side, v in values.items()}
-            q = statistics.quantiles(values["parent"], n=4) if n > 1 else [0, 0, 0]
-            summary["parent_iqr"][metric] = q[2] - q[0]
-            summary["change_better"][metric] = sum(c < p for p, c in zip(values["parent"], values["change"]))
-        report["workloads"][workload] = summary
+              "src_sha256": {side: src_digest(root) for side, root in checkouts.items()},
+              "src_lines": {side: src_lines(root) for side, root in checkouts.items()}, "workloads": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {side: staged(root, Path(tmp, side)) for side, root in checkouts.items()}
+        for workload, n in counts.items():
+            pairs = [run_pair(sides, workload, "parent" if i % 2 == 0 else "change", args.seed,
+                              args.seconds, report) for i in range(n)]
+            summary = {"pairs": pairs, "median": {}, "parent_iqr": {}, "change_better": {}}
+            for metric in pairs[0]["parent"]["metrics"]:  # each lower is better
+                values = {side: [p[side]["metrics"][metric] for p in pairs] for side in sides}
+                summary["median"][metric] = {side: statistics.median(v) for side, v in values.items()}
+                q = statistics.quantiles(values["parent"], n=4) if n > 1 else [0, 0, 0]
+                summary["parent_iqr"][metric] = q[2] - q[0]
+                summary["change_better"][metric] = sum(c < p for p, c in zip(values["parent"], values["change"]))
+            report["workloads"][workload] = summary
     (ROOT / f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

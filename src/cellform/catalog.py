@@ -45,13 +45,6 @@ from pathlib import Path
 from .configurations import dual, format_configuration
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get("CELLFORM_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path(os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache")) / "cellform"
-
-
 @dataclass
 class CatalogEntry:
     sigma: str

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
 from ._primes import _phi, odd_primes_in
-from .catalog import Catalog, default_cache_dir
+from .catalog import Catalog
 from .configurations import enumerate_convergent, format_configuration, parse_configuration
 from .congruences import (
     verify_ahlgren,
@@ -32,7 +33,6 @@ from .ctengine import best_model, leading_coefficients
 from .ffhyper import (
     hyp2f1_exact,
     hyp_greene,
-    phi_at_minus_one,
     truncated_2f1_mod_p2,
     truncated_2f1_reference,
 )
@@ -43,15 +43,17 @@ from .sequences import a_sigma8, apery_a, apery_b, lemma_suite
 
 def _emit_rows(args, rows: list[dict]) -> int:
     """Write finished rows to stdout or --out as JSON lines or CSV (header
-    from the first row) and return the exit code: 1 when a row failed, after
+    from every row's keys, first seen first; a row's missing keys are empty
+    cells) and return the exit code: 1 when a row failed, after
     listing the failed rows on stderr as {"failures": [...]}, else 0.
 
     The output is opened only after every row is computed, so input that a
     command rejects leaves an existing report alone.
     """
     if args.format == "csv":
-        lines = [",".join(rows[0].keys())] if rows else []
-        lines += [",".join(_csv_cell(v) for v in row.values()) for row in rows]
+        header = list(dict.fromkeys(key for row in rows for key in row))
+        lines = [",".join(header)] if header else []
+        lines += [",".join(_csv_cell(row.get(key, "")) for key in header) for row in rows]
     else:
         lines = [json.dumps(row, sort_keys=True) for row in rows]
     text = "".join(line + "\n" for line in lines)
@@ -85,8 +87,11 @@ def _write_manifest(out_path: str, command: str, params: dict, wall: float) -> N
 
 
 def _open_catalog(args) -> Catalog:
-    base = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    return Catalog(base / "catalog.json")
+    """The catalog in --cache-dir, $CELLFORM_CACHE_DIR, $XDG_CACHE_HOME/cellform
+    or ~/.cache/cellform, the first one set; an empty value counts as unset."""
+    base = args.cache_dir or os.environ.get("CELLFORM_CACHE_DIR") or Path(
+        os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "cellform"
+    return Catalog(Path(base) / "catalog.json")
 
 
 def _compact(catalog: Catalog) -> None:
@@ -185,7 +190,7 @@ def cmd_hyper(args) -> int:
                 "pass": greene == exact[lam] and transform_ok and truncated_ok,
             }
         )
-    special = hyp_greene(p, 1, 1) * p == -phi_at_minus_one(p)
+    special = hyp_greene(p, 1, 1) * p == -_phi(p, -1)
     rows.append({"p": p, "lambda": 1, "special_value": special, "pass": special})
     return _emit_rows(args, rows)
 

@@ -63,11 +63,6 @@ class DihedralStructure:
         return len(self.order)
 
 
-def canonical_dihedral(seq) -> DihedralStructure:
-    """Lexicographically least of the 2N dihedral images of a permutation."""
-    return DihedralStructure(tuple(seq))
-
-
 @dataclass(frozen=True, order=True)
 class Configuration:
     """The double coset of sigma, represented by [id, sigma] with sigma canonical."""
@@ -249,7 +244,6 @@ def apery_power_family(m: int) -> Configuration:
 
 @dataclass
 class EnumerationResult:
-    n_points: int
     configurations: list[Configuration]
     count: int
     count_dual_identified: int
@@ -280,7 +274,7 @@ def enumerate_convergent(n: int) -> EnumerationResult:
         raise ValueError(f"N={n}: the class set misses the duals of {missing} of its {len(keys)} classes")
     # A dual pair counts once and a self-dual class once.
     self_dual = int(np.count_nonzero(dual_keys == keys))
-    return EnumerationResult(n, configs, len(configs), (len(configs) + self_dual) // 2,
+    return EnumerationResult(configs, len(configs), (len(configs) + self_dual) // 2,
                              [configs[i] for i in at])
 
 

@@ -41,18 +41,16 @@ class ModelError(RuntimeError):
 class IntervalFormProduct:
     """Multiset of integer intervals standing for prod x_{a,b}."""
 
-    n_vars: int
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if len(self.factors) != self.n_vars:
-            raise ModelError("factor count must equal the number of variables")
+        d = len(self.factors)  # one factor per variable
         covered = set()
         for a, b in self.factors:
-            if not (1 <= a <= b <= self.n_vars):
+            if not (1 <= a <= b <= d):
                 raise ModelError(f"interval ({a},{b}) out of range")
             covered.update(range(a, b + 1))
-        if covered != set(range(1, self.n_vars + 1)):
+        if covered != set(range(1, d + 1)):
             raise ModelError("every variable must be covered by some interval")
 
 
@@ -96,7 +94,7 @@ def linear_form_model(sigma) -> IntervalFormProduct:
     factor z_j - z_{j+1} is +/- one interval sum.
     """
     seq = _convergent_sigma(sigma)
-    return IntervalFormProduct(len(seq) - 2, _interval_factors(seq))
+    return IntervalFormProduct(_interval_factors(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +284,7 @@ def best_model(c: Configuration) -> IntervalFormProduct:
     """
     seq = _convergent_sigma(c)
     factors = min(map(_interval_factors, dihedral_images(seq)), key=lambda f: (_sweep_cost(f), f))
-    return IntervalFormProduct(len(seq) - 2, factors)
+    return IntervalFormProduct(factors)
 
 
 def leading_coefficients(c, n_max: int, catalog: Catalog | None = None) -> SequenceRecord:

@@ -125,13 +125,9 @@ def hyp_greene(p: int, n_upper: int, x: int) -> Fraction:
     return Fraction(numerator, p ** (n_upper + 1))
 
 
-def phi_at_minus_one(p: int) -> int:
-    return _phi(p, -1)
-
-
 def hyp2f1_exact(p: int, lam: int) -> Fraction:
     """2F1 at lambda through the elliptic point count: -phi(-1) a(p,lambda) / p."""
-    return Fraction(-phi_at_minus_one(p) * legendre_trace(p, lam), p)
+    return Fraction(-_phi(p, -1) * legendre_trace(p, lam), p)
 
 
 def teichmuller(x: int, p: int, n: int) -> int:
@@ -155,9 +151,9 @@ def truncated_2f1_reference(p: int, lam: int) -> int:
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     p2 = p * p
-    sign = -phi_at_minus_one(p) * _phi(p, (-lam) % p)
+    sign = -_phi(p, -1) * _phi(p, (-lam) % p)
     if lam == 1:
-        p_2f1 = -phi_at_minus_one(p)  # p * 2F1(1)
+        p_2f1 = -_phi(p, -1)  # p * 2F1(1)
     else:
         p_2f1 = int(p * hyp2f1_exact(p, pow(lam, -1, p)))
     return sign * p_2f1 % p2

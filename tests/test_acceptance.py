@@ -10,14 +10,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from cellform._primes import odd_primes_in
+from cellform._primes import _phi, odd_primes_in
 from cellform.configurations import (
     DihedralStructure,
     MultiplicationSite,
     apery_power_family,
     apery_power_sigma,
     canonical_configuration,
-    canonical_dihedral,
     enumerate_convergent,
     multiplication_triples,
     multiply,
@@ -35,7 +34,6 @@ from cellform.ctengine import constant_term, leading_coefficients, linear_form_m
 from cellform.ffhyper import (
     hyp2f1_exact,
     hyp_greene,
-    phi_at_minus_one,
     truncated_2f1_mod_p2,
     truncated_2f1_reference,
 )
@@ -103,8 +101,8 @@ def test_criterion_03_star_product():
         pair = (DihedralStructure((1, 2, 3, 4, 5)), DihedralStructure((1, 3, 5, 2, 4)))
         site = MultiplicationSite((1, 2, 3), (4, 2, 5))
         gamma, gamma_p = star_product_pair(pair, pair, site)
-        assert canonical_dihedral(gamma) == canonical_dihedral((1, 2, 3, 4, 7, 6, 5))
-        assert canonical_dihedral(gamma_p) == canonical_dihedral((1, 3, 5, 7, 2, 6, 4))
+        assert DihedralStructure(gamma) == DihedralStructure((1, 2, 3, 4, 7, 6, 5))
+        assert DihedralStructure(gamma_p) == DihedralStructure((1, 3, 5, 7, 2, 6, 4))
         # chain: multiplying the five-point factor walks up the power family
         for m in (2, 3, 4):
             rho = apery_power_sigma(m)
@@ -195,7 +193,7 @@ def test_criterion_11_hypergeometric_identities():
     with criterion(11, "2F1 identities and the truncated mod p^2 congruence, p<60, exact in F_q"):
         for p in odd_primes_in(3, 60):
             # special value p 2F1(1) = -phi(-1)
-            assert hyp_greene(p, 1, 1) * p == -phi_at_minus_one(p)
+            assert hyp_greene(p, 1, 1) * p == -_phi(p, -1)
             for lam in range(2, p):
                 exact = hyp2f1_exact(p, lam)
                 assert hyp_greene(p, 1, lam) == exact  # point-count route

@@ -1,7 +1,9 @@
 """Opening a catalog indexes its snapshot lines; each entry is parsed when read."""
 import hashlib
 import json
+import os
 import shutil
+import warnings
 
 import pytest
 
@@ -12,6 +14,8 @@ from cellform.ctengine import best_model, leading_coefficients
 SIGMA5 = format_configuration(canonical_configuration((1, 3, 5, 2, 4)))
 ENTRY5 = {"n_points": 5, "convergent": True, "intervals": [[1, 1], [1, 2], [2, 3]],
           "terms": ["1", "3", "19"], "dual": SIGMA5}
+SIGMA6 = (1, 5, 3, 6, 2, 4)
+SIGMA7 = (1, 3, 7, 5, 2, 6, 4)
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +185,37 @@ def test_malformed_entry_raises_when_read_and_at_save(tmp_path, entry):
     assert (path.read_bytes(), catalog.journal.read_bytes()) == before
 
 
+def test_snapshot_without_its_closing_line_raises_at_open(tmp_path):
+    # The sha256 matches the body, but the body stops before its }} line.
+    path = tmp_path / "catalog.json"
+    body = ('"%s":%s\n' % (SIGMA5, json.dumps(ENTRY5))).encode()
+    head = '{"engine":"%s","sha256":"%s","entries":{\n' % (Catalog.ENGINE_VERSION, hashlib.sha256(body).hexdigest())
+    path.write_bytes(head.encode() + body)
+    with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json: .*\}\} line"):
+        Catalog(path)
+    assert path.read_bytes() == head.encode() + body
+
+
+def test_failed_snapshot_replace_keeps_snapshot_and_journal(tmp_path, monkeypatch):
+    path = tmp_path / "catalog.json"
+    catalog = Catalog(path)
+    leading_coefficients(canonical_configuration(SIGMA5), 2, catalog)
+    catalog.save()
+    leading_coefficients(canonical_configuration(SIGMA6), 2, catalog)  # one journal line
+    before = path.read_bytes(), catalog.journal.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="no space left"):
+        catalog.save()
+    monkeypatch.undo()
+    assert (path.read_bytes(), catalog.journal.read_bytes()) == before
+    assert not list(tmp_path.glob(".catalog-*.json"))
+    assert Catalog(path).get_terms(format_configuration(canonical_configuration(SIGMA6))) == [1, 5, 73]
+
+
 def test_duplicate_keys_resolve_as_json_loads(tmp_path):
     path = tmp_path / "catalog.json"
     last = {**ENTRY5, "terms": ["1", "3", "19", "147"]}
@@ -214,3 +249,47 @@ def test_journal_entry_with_bad_interval_count_raises(tmp_path):
     catalog.journal.write_text(json.dumps(record) + "\n")
     with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json\.journal: .*" + SIGMA5):
         Catalog(path)
+
+
+def test_catalog_store_appends_one_journal_line(tmp_path):
+    path = tmp_path / "catalog.json"
+    catalog = Catalog(path)
+    leading_coefficients(canonical_configuration(SIGMA5), 3, catalog)
+    leading_coefficients(canonical_configuration(SIGMA6), 3, catalog)
+    assert not path.exists()  # stores never rewrite the snapshot
+    assert len(catalog.journal.read_bytes().splitlines()) == 2
+    catalog.save()
+    assert catalog.journal.read_bytes() == b""
+    assert len(json.loads(path.read_text())["entries"]) == 2
+
+
+def test_torn_journal_line_is_dropped_with_a_warning(tmp_path):
+    path = tmp_path / "catalog.json"
+    catalog = Catalog(path)
+    leading_coefficients(canonical_configuration(SIGMA5), 3, catalog)
+    line = catalog.journal.read_bytes()
+    with open(catalog.journal, "ab") as fh:
+        fh.write(line[: len(line) // 2])  # a crash in the middle of an append
+    with pytest.warns(UserWarning, match="torn"):
+        reopened = Catalog(path)
+    assert list(reopened.entries) == [format_configuration(canonical_configuration(SIGMA5))]
+    with pytest.warns(UserWarning, match="torn"):
+        leading_coefficients(canonical_configuration(SIGMA6), 3, reopened)
+    # The next append cut the torn tail first, so the journal is whole again.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(Catalog(path).entries) == 2
+
+
+def test_engine_bump_ignores_journal_lines(tmp_path, monkeypatch):
+    path = tmp_path / "catalog.json"
+    catalog = Catalog(path)
+    leading_coefficients(canonical_configuration(SIGMA5), 3, catalog)
+    catalog.save()
+    leading_coefficients(canonical_configuration(SIGMA6), 3, catalog)  # journal only
+    monkeypatch.setattr(Catalog, "ENGINE_VERSION", "cellform-ct-TEST")
+    fresh = Catalog(path)
+    assert fresh.entries == {}
+    leading_coefficients(canonical_configuration(SIGMA7), 2, fresh)
+    fresh.save()
+    assert list(Catalog(path).entries) == [format_configuration(canonical_configuration(SIGMA7))]

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import re
 import shlex
@@ -201,7 +203,7 @@ def test_row_commands_list_their_failures(capsys, monkeypatch, patch, argv, key,
 # to any of them is a change of output and must be explained.
 PINNED_OUTPUTS = {
     "hyper --p 97": "455dc1a3afc8d4753857dfc258edc7424acaa103029a55fd746232a1397f370c",
-    "hyper --p 13 --format csv": "a6b8caf47d2bed26ba9b1e96a77cfc9240ae63b6971a6b8521e2a2cd11aaf843",
+    "hyper --p 13 --format csv": "c5a56fdce8b64a40a086a61420535f3b9b65653f4e1a5b1e5a56ee82a4fe24b1",
     "verify lemmas --pmax 97": "266677085180c196dc835baad9a6d1c1e74562ad15f8bb52802c9c486b73afa6",
     "modform --pmax 200": "e135c7d7b824a70675033ceb0798a4c912ac863f04f311b59d0afd99ca505015",
     "verify thm2 --pmax 199": "6eab54ab1ca10bdd02c6f7da82d61ae9a20020a4a8255bc4c3a40676b93b02f6",
@@ -250,6 +252,15 @@ def test_hyper_identity_matrix(capsys):
     assert [r["greene"] for r in rows[:-1]] == expected
     assert [r["pointcount"] for r in rows[:-1]] == expected
     assert rows[-1] == {"p": 13, "lambda": 1, "special_value": True, "pass": True}
+
+
+def test_hyper_csv_puts_each_value_under_its_own_column(capsys):
+    # The special-value row has other keys than the table rows before it.
+    code, stdout, _ = run_main(["hyper", "--p", "7", "--format", "csv"], capsys)
+    assert code == 0
+    special = list(csv.DictReader(io.StringIO(stdout)))[-1]
+    assert (special["lambda"], special["special_value"], special["pass"]) == ("1", "True", "True")
+    assert special["greene"] == special["pointcount"] == ""
 
 
 def test_hyper_evaluates_each_2f1_and_the_residue_tables_once(capsys, monkeypatch):
@@ -376,6 +387,20 @@ def test_cache_dir_env_override(tmp_path, monkeypatch, capsys):
     code, stdout, _ = run_main(["coeffs", "--sigma", "1,3,5,2,4", "--terms", "2"], capsys)
     assert code == 0 and stdout.strip() == "1, 3, 19"
     assert (tmp_path / "envcache" / "catalog.json").exists()
+
+
+def test_empty_xdg_cache_home_counts_as_unset(tmp_path, monkeypatch, capsys):
+    # An empty XDG_CACHE_HOME used to put the catalog in ./cellform/.
+    home, work = tmp_path / "home", tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", "")
+    monkeypatch.delenv("CELLFORM_CACHE_DIR", raising=False)
+    monkeypatch.chdir(work)
+    code, stdout, _ = run_main(["coeffs", "--sigma", "1,3,5,2,4", "--terms", "2"], capsys)
+    assert code == 0 and stdout.strip() == "1, 3, 19"
+    assert (home / ".cache" / "cellform" / "catalog.json").exists()
+    assert list(work.iterdir()) == []
 
 
 def test_verify_thm1_all_l_concatenates_single_l(tmp_path, capsys):

@@ -13,7 +13,6 @@ from cellform.configurations import (
     apery_power_family,
     apery_power_sigma,
     canonical_configuration,
-    canonical_dihedral,
     coset_images,
     dihedral_images,
     dual,
@@ -33,33 +32,33 @@ SIGMA8 = (8, 3, 6, 1, 4, 7, 2, 5)
 
 
 # ---------------------------------------------------------------------------
-# canonical_dihedral
+# DihedralStructure
 # ---------------------------------------------------------------------------
 
 def test_canonical_dihedral_rotation_of_identity():
-    assert canonical_dihedral((2, 3, 4, 5, 1)).order == (1, 2, 3, 4, 5)
+    assert DihedralStructure((2, 3, 4, 5, 1)).order == (1, 2, 3, 4, 5)
 
 
 def test_canonical_dihedral_reflection_of_identity():
-    assert canonical_dihedral((1, 5, 4, 3, 2)).order == (1, 2, 3, 4, 5)
+    assert DihedralStructure((1, 5, 4, 3, 2)).order == (1, 2, 3, 4, 5)
 
 
 def test_canonical_dihedral_orbit_agreement():
     # (4,2,5,3,1) and (1,3,5,2,4) lie in the same dihedral orbit
     assert any(img == SIGMA5 for img in dihedral_images((4, 2, 5, 3, 1)))
-    assert canonical_dihedral((4, 2, 5, 3, 1)) == canonical_dihedral(SIGMA5)
+    assert DihedralStructure((4, 2, 5, 3, 1)) == DihedralStructure(SIGMA5)
 
 
 def test_canonical_dihedral_rejects_non_permutation():
     with pytest.raises(ValueError):
-        canonical_dihedral((1, 2, 2, 4))
+        DihedralStructure((1, 2, 2, 4))
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_canonicalization_idempotent_exhaustive(n):
     for perm in itertools.permutations(range(1, n + 1)):
-        once = canonical_dihedral(perm)
-        assert canonical_dihedral(once.order) == once
+        once = DihedralStructure(perm)
+        assert DihedralStructure(once.order) == once
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -68,8 +67,8 @@ def test_canonicalization_idempotent_sampled(n):
     for _ in range(200):
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
-        once = canonical_dihedral(perm)
-        assert canonical_dihedral(once.order) == once
+        once = DihedralStructure(perm)
+        assert DihedralStructure(once.order) == once
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +192,8 @@ def test_star_product_pair_worked_example():
     pair = _sigma5_pair()
     site = MultiplicationSite((1, 2, 3), (4, 2, 5))
     gamma, gamma_p = star_product_pair(pair, pair, site)
-    assert canonical_dihedral(gamma) == canonical_dihedral((1, 2, 3, 4, 7, 6, 5))
-    assert canonical_dihedral(gamma_p) == canonical_dihedral((1, 3, 5, 7, 2, 6, 4))
+    assert DihedralStructure(gamma) == DihedralStructure((1, 2, 3, 4, 7, 6, 5))
+    assert DihedralStructure(gamma_p) == DihedralStructure((1, 3, 5, 7, 2, 6, 4))
     assert multiply(pair, pair, site) == canonical_configuration((1, 3, 7, 5, 2, 6, 4))
 
 

@@ -5,7 +5,6 @@ import os
 import stat
 import subprocess
 import sys
-import warnings
 from collections import defaultdict
 
 import pytest
@@ -42,7 +41,7 @@ SIGMA8 = (8, 3, 6, 1, 4, 7, 2, 5)
 def naive_coefficient(model: IntervalFormProduct, n: int) -> int:
     """Independent oracle: expand the full product term by term, no sweep,
     no caps, then read off the diagonal coefficient.  Exponential; keep n tiny."""
-    d = model.n_vars
+    d = len(model.factors)
     poly = {(0,) * d: 1}
     for a, b in model.factors:
         for _ in range(n):
@@ -62,13 +61,13 @@ def naive_coefficient(model: IntervalFormProduct, n: int) -> int:
 
 def test_model_sigma8_matches_displayed_integrand():
     m = linear_form_model(SIGMA8)
-    assert m.n_vars == 6
+    assert len(m.factors) == 6
     assert sorted(m.factors) == [(1, 3), (1, 5), (2, 4), (2, 6), (3, 5), (4, 6)]
 
 
 def test_model_sigma5():
     m = linear_form_model(SIGMA5)
-    assert m.n_vars == 3
+    assert len(m.factors) == 3
     assert sorted(m.factors) == [(1, 2), (1, 3), (2, 3)]
 
 
@@ -85,9 +84,9 @@ def test_model_rejects_nonconvergent():
 
 def test_interval_product_validates_coverage():
     with pytest.raises(ModelError):
-        IntervalFormProduct(3, ((1, 2), (1, 2), (1, 2)))
+        IntervalFormProduct(((1, 2), (1, 2), (1, 2)))
     with pytest.raises(ModelError):
-        IntervalFormProduct(3, ((1, 3), (1, 3)))
+        IntervalFormProduct(((1, 3), (1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +119,7 @@ def test_constant_term_closing_above_an_open_variable_against_naive_oracle():
     # At the factor (4, 7) variables 4 and 7 are covered for the last time
     # while 5 and 6 stay open, so the closing variables are not the lowest
     # open ones.
-    model = IntervalFormProduct(7, ((1, 3), (1, 4), (2, 5), (3, 5), (3, 7), (4, 7), (5, 6)))
+    model = IntervalFormProduct(((1, 3), (1, 4), (2, 5), (3, 5), (3, 7), (4, 7), (5, 6)))
     last = {v: i for i, (a, b) in enumerate(model.factors) for v in range(a, b + 1)}
     assert any(
         last[v] == i and any(u < v and last[u] > i for u in range(1, v))
@@ -278,18 +277,6 @@ def test_catalog_write_is_atomic_and_roundtrips(tmp_path):
     assert not list(tmp_path.glob(".catalog-*"))  # no temp files left behind
 
 
-def test_catalog_store_appends_one_journal_line(tmp_path):
-    path = tmp_path / "catalog.json"
-    catalog = Catalog(path)
-    leading_coefficients(canonical_configuration(SIGMA5), 3, catalog)
-    leading_coefficients(canonical_configuration(SIGMA6), 3, catalog)
-    assert not path.exists()  # stores never rewrite the snapshot
-    assert len(catalog.journal.read_bytes().splitlines()) == 2
-    catalog.save()
-    assert catalog.journal.read_bytes() == b""
-    assert len(json.loads(path.read_text())["entries"]) == 2
-
-
 def test_snapshot_and_journal_share_one_file_mode(tmp_path):
     old = os.umask(0o022)
     try:
@@ -371,24 +358,6 @@ def test_interleaved_instances_lose_no_entry(tmp_path):
     assert a.entries.keys() == merged.entries.keys()
 
 
-def test_torn_journal_line_is_dropped_with_a_warning(tmp_path):
-    path = tmp_path / "catalog.json"
-    catalog = Catalog(path)
-    leading_coefficients(canonical_configuration(SIGMA5), 3, catalog)
-    line = catalog.journal.read_bytes()
-    with open(catalog.journal, "ab") as fh:
-        fh.write(line[: len(line) // 2])  # a crash in the middle of an append
-    with pytest.warns(UserWarning, match="torn"):
-        reopened = Catalog(path)
-    assert list(reopened.entries) == [format_configuration(canonical_configuration(SIGMA5))]
-    with pytest.warns(UserWarning, match="torn"):
-        leading_coefficients(canonical_configuration(SIGMA6), 3, reopened)
-    # The next append cut the torn tail first, so the journal is whole again.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert len(Catalog(path).entries) == 2
-
-
 def test_edited_journal_term_raises_naming_the_sigma(tmp_path):
     path = tmp_path / "catalog.json"
     config = canonical_configuration(SIGMA5)
@@ -413,20 +382,6 @@ def test_edited_snapshot_term_raises_naming_the_file(tmp_path):
     with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json: .*sha256"):
         Catalog(path)
     assert path.read_text() == edited
-
-
-def test_engine_bump_ignores_journal_lines(tmp_path, monkeypatch):
-    path = tmp_path / "catalog.json"
-    catalog = Catalog(path)
-    leading_coefficients(canonical_configuration(SIGMA5), 3, catalog)
-    catalog.save()
-    leading_coefficients(canonical_configuration(SIGMA6), 3, catalog)  # journal only
-    monkeypatch.setattr(Catalog, "ENGINE_VERSION", "cellform-ct-TEST")
-    fresh = Catalog(path)
-    assert fresh.entries == {}
-    leading_coefficients(canonical_configuration(SIGMA7), 2, fresh)
-    fresh.save()
-    assert list(Catalog(path).entries) == [format_configuration(canonical_configuration(SIGMA7))]
 
 
 def test_best_model_is_equivalent(shared_catalog):

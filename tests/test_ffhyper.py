@@ -8,7 +8,6 @@ from cellform.ffhyper import (
     hyp2f1_exact,
     hyp_greene,
     orthogonality_check,
-    phi_at_minus_one,
     teichmuller,
     truncated_2f1_mod_p2,
     truncated_2f1_reference,
@@ -64,7 +63,7 @@ def test_hyp2f1_exact_values():
 def test_greene_2f1_special_value():
     # p 2F1(1) = -phi(-1)
     for p in odd_primes_in(3, 40):
-        assert hyp_greene(p, 1, 1) * p == -phi_at_minus_one(p)
+        assert hyp_greene(p, 1, 1) * p == -_phi(p, -1)
 
 
 def test_greene_matches_exact_2f1():
@@ -167,7 +166,7 @@ def test_truncated_sum_needs_signed_lift():
     # The bare -phi(-lambda) p 2F1(1/lambda) lift misses the truncated sum by
     # phi(-1) when p = 3 (mod 4): at p = 7, lambda = 1 the sum is -1, not 1.
     assert truncated_2f1_mod_p2(7, 1) == 48
-    assert phi_at_minus_one(7) == -1
+    assert _phi(7, -1) == -1
 
 
 def test_truncated_rejects():
