@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of benchmark runs, written to BENCH_<label>.json.
 
     python3 benchmarks/bench.py --parent ../parent --label NAME [--seconds 30]
-        [--seed 0] [WORKLOAD=PAIRS ...]
+        [--seed 0] [--trace] [WORKLOAD=PAIRS ...]
 
 ``--parent`` is a checkout to compare against (``git clone`` of the parent
 commit); the change is the checkout holding this script.  Both sides'
@@ -9,7 +9,12 @@ commit); the change is the checkout holding this script.  Both sides'
 run from there, so neither side runs from a working tree with its own run
 files and bytecode caches.  Each pair runs a workload once in each, the
 parent first in even pairs, so a drift in the host's speed falls on both.
-The perfbench workloads run ``perfbench/run.py --trace 0``.  The CLI
+The perfbench workloads run ``perfbench/run.py --trace 0``.  With
+``--trace``, each perfbench workload then runs ``perfbench/run.py --trace 1``
+once on each side, after its pairs, and the file keeps those per-layer
+metrics (``catalog.load.s`` and the rest, see ``perfbench/tracer.py``) under
+the workload's ``layers: {parent, change}``; the medians and every other
+end-to-end figure still come from the untraced pairs alone.  The CLI
 workloads run one command in a fresh interpreter from each side's copied
 ``src/`` and record its wall time and peak RSS; a run fails if it exits
 nonzero:
@@ -76,9 +81,9 @@ def staged(root: Path, dest: Path) -> Path:
     return dest
 
 
-def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[dict, dict]:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
     line = json.loads(out[-1])
     machine = json.loads(next(s for s in out if s.startswith("machine: "))[len("machine: "):])
@@ -140,6 +145,7 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True)
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--trace", action="store_true", help="also one traced run per side of each perfbench workload")
     ap.add_argument("pairs", nargs="*", help="WORKLOAD=PAIRS")
     args = ap.parse_args(argv)
     counts = dict.fromkeys(WORKLOADS + tuple(CLI_WORKLOADS), 3) if not args.pairs else {
@@ -160,6 +166,11 @@ def main(argv=None) -> int:
                 q = statistics.quantiles(values["parent"], n=4) if n > 1 else [0, 0, 0]
                 summary["parent_iqr"][metric] = q[2] - q[0]
                 summary["change_better"][metric] = sum(c < p for p, c in zip(values["parent"], values["change"]))
+            if args.trace and workload in WORKLOADS:
+                summary["layers"] = {}
+                for side in ("parent", "change"):
+                    summary["layers"][side] = run(sides[side], workload, args.seed, args.seconds, 1)[0]["metrics"]
+                    print(workload, side, "layers", json.dumps(summary["layers"][side]), flush=True)
             report["workloads"][workload] = summary
     (ROOT / f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -16,6 +16,14 @@ engine version and a sha256 of the lines below it.
   the two reads.  An entry line is parsed and validated when it is first read
   (``entries`` and ``save`` read them all); older snapshots without a sha256
   are parsed whole.
+- The line index of the last snapshot body indexed is kept for the process,
+  under that body's sha256: one slot holding one snapshot's line bytes, never
+  the entries built from them.  Every open still reads the snapshot and checks
+  its sha256; when it matches the slot, the open copies the index instead of
+  rebuilding it, and only an index that passed every check fills the slot.  On
+  the 900-entry catalog an open plus one ``get_terms`` takes about 0.2 ms when
+  the slot matches and 0.7-1.5 ms when it does not, plus about 20 us for each
+  journal line, which is replayed and digested on every open.
 - ``save`` compacts under the exclusive lock: it re-reads both files, adds
   each entry this instance holds that they lack, replaces the snapshot
   atomically (temp file and rename) and truncates the journal.  Another
@@ -93,6 +101,9 @@ def _entry_digest(sigma: str, data: dict) -> str:
 # The header and entry lines exactly as _write_snapshot writes them.
 _HEADER = re.compile(rb'\{"engine":"[^"\\]*","sha256":"[0-9a-f]{64}","entries":\{\n')
 _LINE = re.compile(rb'^"([^"\\\x00-\x1f]*)":(\{.*\}),$', re.M)
+# The line index of the snapshot body last indexed in this process, under
+# the body's sha256: raw line bytes only, never the entries built from them.
+_indexed: tuple[str, dict[str, bytes]] = ("", {})
 
 
 class Catalog:
@@ -135,6 +146,7 @@ class Catalog:
 
     def _read_snapshot(self) -> dict[str, CatalogEntry | bytes]:
         """Entries, or the raw JSON of each line of a snapshot with a sha256."""
+        global _indexed
         try:
             raw = self.path.read_bytes()
         except FileNotFoundError:
@@ -154,13 +166,18 @@ class Catalog:
             body = raw[head.end() :]
             if body == b"}}\n":
                 return {}
+            digest, index = _indexed  # one read: another thread may replace the slot
+            if digest == data["sha256"]:  # these very bytes passed the checks below
+                return dict(index)
             if not body.endswith(b"\n}}\n"):
                 raise ValueError("entries do not end with a }} line")
             lines = body[:-4] + b","  # every entry line but the last ends with a comma
             pairs = _LINE.findall(lines)
             if len(pairs) != lines.count(b"\n") + 1:
                 raise ValueError("an entry line is not \"<sigma>\":{...}")
-            return {sigma.decode(): entry for sigma, entry in pairs}
+            index = {sigma.decode(): entry for sigma, entry in pairs}
+            _indexed = (data["sha256"], index)
+            return dict(index)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corrupt catalog {self.path}: {type(exc).__name__}: {exc}") from exc
 

@@ -88,9 +88,11 @@ def _write_manifest(out_path: str, command: str, params: dict, wall: float) -> N
 
 def _open_catalog(args) -> Catalog:
     """The catalog in --cache-dir, $CELLFORM_CACHE_DIR, $XDG_CACHE_HOME/cellform
-    or ~/.cache/cellform, the first one set; an empty value counts as unset."""
+    or ~/.cache/cellform, the first one set; an empty value counts as unset,
+    and so does a relative $XDG_CACHE_HOME (the XDG Base Directory rule)."""
+    xdg = os.environ.get("XDG_CACHE_HOME", "")
     base = args.cache_dir or os.environ.get("CELLFORM_CACHE_DIR") or Path(
-        os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "cellform"
+        xdg if os.path.isabs(xdg) else Path.home() / ".cache") / "cellform"
     return Catalog(Path(base) / "catalog.json")
 
 

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from cellform.catalog import Catalog, CatalogEntry
+from cellform.catalog import _LINE, Catalog, CatalogEntry
 from cellform.configurations import canonical_configuration, enumerate_convergent, format_configuration
 from cellform.ctengine import best_model, leading_coefficients
 
@@ -224,6 +224,72 @@ def test_duplicate_keys_resolve_as_json_loads(tmp_path):
     assert Catalog(path).entries == eager(path) == {SIGMA5: CatalogEntry.from_json(SIGMA5, last)}
 
 
+def test_every_open_checks_the_sha256(tmp_path):
+    # A line index kept from an earlier open never stands in for the check.
+    path = tmp_path / "catalog.json"
+    catalog = Catalog(path)
+    leading_coefficients(canonical_configuration(SIGMA5), 2, catalog)
+    catalog.save()
+    assert Catalog(path).get_terms(SIGMA5) == [1, 3, 19]
+    edited = path.read_bytes().replace(b'"19"', b'"20"')
+    path.write_bytes(edited)  # the header keeps the old sha256
+    with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json: .*sha256"):
+        Catalog(path)
+    assert path.read_bytes() == edited
+
+
+def test_reopening_unchanged_bytes_indexes_them_once(tmp_path, monkeypatch):
+    path, other = tmp_path / "catalog.json", tmp_path / "other.json"
+    write_snapshot(path, ['"%s":%s' % (SIGMA5, json.dumps(ENTRY5))])
+    write_snapshot(other, ['"%s":%s' % (SIGMA5, json.dumps({**ENTRY5, "terms": ["1", "3"]}))])
+    Catalog(other)  # whatever an earlier open indexed, the next body is new
+    calls = []
+
+    class Counting:
+        def findall(self, lines):
+            calls.append(lines)
+            return _LINE.findall(lines)
+
+    monkeypatch.setattr("cellform.catalog._LINE", Counting())
+    first, second = Catalog(path), Catalog(path)
+    assert len(calls) == 1
+    assert first.get_terms(SIGMA5) == second.get_terms(SIGMA5) == [1, 3, 19]
+    assert Catalog(other).get_terms(SIGMA5) == [1, 3]
+    assert len(calls) == 2
+
+
+def test_malformed_snapshot_raises_on_every_open(tmp_path):
+    # Only an index that passed every check is kept for the next open.
+    path = tmp_path / "catalog.json"
+    write_snapshot(path, ['"%s":%s\n"1,2":{}' % (SIGMA5, json.dumps(ENTRY5))])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json: .*entry line"):
+            Catalog(path)
+
+
+def test_poisoned_entries_never_reach_another_open(tmp_path):
+    path = tmp_path / "catalog.json"
+    write_snapshot(path, ['"%s":%s' % (SIGMA5, json.dumps(ENTRY5))])
+    a = Catalog(path)
+    a.entries[SIGMA5].terms[1] = "999"
+    assert a.get_terms(SIGMA5) == [1, 999, 19]
+    assert Catalog(path).get_terms(SIGMA5) == [1, 3, 19]
+
+
+def test_an_open_after_another_save_serves_the_new_terms(tmp_path):
+    path = tmp_path / "catalog.json"
+    config = canonical_configuration(SIGMA5)
+    first = Catalog(path)
+    leading_coefficients(config, 2, first)
+    first.save()
+    assert Catalog(path).get_terms(SIGMA5) == [1, 3, 19]
+    other = Catalog(path)
+    leading_coefficients(config, 4, other)
+    other.save()
+    assert other.journal.read_bytes() == b""  # the new terms are in the snapshot alone
+    assert Catalog(path).get_terms(SIGMA5) == [1, 3, 19, 147, 1251]
+
+
 def test_empty_snapshot_opens_empty(tmp_path):
     path = tmp_path / "catalog.json"
     Catalog(path).save()
@@ -293,3 +359,29 @@ def test_engine_bump_ignores_journal_lines(tmp_path, monkeypatch):
     leading_coefficients(canonical_configuration(SIGMA7), 2, fresh)
     fresh.save()
     assert list(Catalog(path).entries) == [format_configuration(canonical_configuration(SIGMA7))]
+
+
+def test_corrupt_catalog_raises_and_keeps_file(tmp_path):
+    # Loading a broken file as an empty catalog would let the next save
+    # overwrite whatever the user had.
+    path = tmp_path / "catalog.json"
+    path.write_text("{")
+    with pytest.raises(ValueError, match="catalog.json"):
+        Catalog(path)
+    assert path.read_bytes() == b"{"
+
+
+def test_catalog_reads_old_indented_snapshot(tmp_path):
+    # Catalogs written before the journal carry no digest and are indented.
+    path = tmp_path / "catalog.json"
+    key = format_configuration(canonical_configuration(SIGMA5))
+    entry = {"n_points": 5, "convergent": True, "intervals": [[1, 1], [1, 2], [2, 3]],
+             "terms": ["1", "3", "19"], "dual": key}
+    path.write_text(json.dumps({"engine": Catalog.ENGINE_VERSION, "entries": {key: entry}}, indent=1))
+    assert Catalog(path).get_terms(key) == [1, 3, 19]
+
+
+def test_opening_a_missing_catalog_creates_no_file(tmp_path):
+    catalog = Catalog(tmp_path / "sub" / "catalog.json")
+    assert catalog.entries == {}
+    assert list(tmp_path.iterdir()) == []

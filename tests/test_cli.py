@@ -389,18 +389,29 @@ def test_cache_dir_env_override(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "envcache" / "catalog.json").exists()
 
 
-def test_empty_xdg_cache_home_counts_as_unset(tmp_path, monkeypatch, capsys):
-    # An empty XDG_CACHE_HOME used to put the catalog in ./cellform/.
+def coeffs_with_xdg_cache_home(value, tmp_path, monkeypatch, capsys):
+    """Run coeffs with XDG_CACHE_HOME=value from an empty working directory;
+    the catalog must land in ~/.cache/cellform and nothing in that directory."""
     home, work = tmp_path / "home", tmp_path / "work"
     work.mkdir()
     monkeypatch.setenv("HOME", str(home))
-    monkeypatch.setenv("XDG_CACHE_HOME", "")
+    monkeypatch.setenv("XDG_CACHE_HOME", value)
     monkeypatch.delenv("CELLFORM_CACHE_DIR", raising=False)
     monkeypatch.chdir(work)
     code, stdout, _ = run_main(["coeffs", "--sigma", "1,3,5,2,4", "--terms", "2"], capsys)
     assert code == 0 and stdout.strip() == "1, 3, 19"
     assert (home / ".cache" / "cellform" / "catalog.json").exists()
     assert list(work.iterdir()) == []
+
+
+def test_empty_xdg_cache_home_counts_as_unset(tmp_path, monkeypatch, capsys):
+    # An empty XDG_CACHE_HOME used to put the catalog in ./cellform/.
+    coeffs_with_xdg_cache_home("", tmp_path, monkeypatch, capsys)
+
+
+def test_relative_xdg_cache_home_counts_as_unset(tmp_path, monkeypatch, capsys):
+    # A relative one used to put it in ./relcache/cellform/.
+    coeffs_with_xdg_cache_home("relcache", tmp_path, monkeypatch, capsys)
 
 
 def test_verify_thm1_all_l_concatenates_single_l(tmp_path, capsys):

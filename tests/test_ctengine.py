@@ -241,16 +241,6 @@ def test_catalog_version_bump_invalidates(tmp_path, monkeypatch):
     assert fresh.entries == {}
 
 
-def test_corrupt_catalog_raises_and_keeps_file(tmp_path):
-    # Loading a broken file as an empty catalog would let the next save
-    # overwrite whatever the user had.
-    path = tmp_path / "catalog.json"
-    path.write_text("{")
-    with pytest.raises(ValueError, match="catalog.json"):
-        Catalog(path)
-    assert path.read_bytes() == b"{"
-
-
 @pytest.mark.parametrize(
     "text",
     [
@@ -287,22 +277,6 @@ def test_snapshot_and_journal_share_one_file_mode(tmp_path):
         os.umask(old)
     assert stat.S_IMODE(catalog.path.stat().st_mode) == 0o644
     assert stat.S_IMODE(catalog.journal.stat().st_mode) == 0o644
-
-
-def test_catalog_reads_old_indented_snapshot(tmp_path):
-    # Catalogs written before the journal carry no digest and are indented.
-    path = tmp_path / "catalog.json"
-    key = format_configuration(canonical_configuration(SIGMA5))
-    entry = {"n_points": 5, "convergent": True, "intervals": [[1, 1], [1, 2], [2, 3]],
-             "terms": ["1", "3", "19"], "dual": key}
-    path.write_text(json.dumps({"engine": Catalog.ENGINE_VERSION, "entries": {key: entry}}, indent=1))
-    assert Catalog(path).get_terms(key) == [1, 3, 19]
-
-
-def test_opening_a_missing_catalog_creates_no_file(tmp_path):
-    catalog = Catalog(tmp_path / "sub" / "catalog.json")
-    assert catalog.entries == {}
-    assert list(tmp_path.iterdir()) == []
 
 
 _WRITER = """
