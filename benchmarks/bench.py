@@ -25,8 +25,18 @@ nonzero:
   its ``intervals`` have the sha256 ``ENUMERATE_N11_INTERVALS`` (the seat
   image that ``best_model`` picks is recorded there, and it may change).
 - ``cli_conj1_n10_p5`` runs ``cellform verify conj1 --n 10 --p 5 --out X`` on
-  an empty ``--cache-dir``.  A run fails unless its rows have the sha256
-  ``CONJ1_N10_P5_ROWS`` (all 771 classes pass).
+  an empty ``--cache-dir`` (all 771 classes pass).
+- ``cli_fit_sigma8`` runs ``cellform fit --sequence sigma8 --terms 120
+  --order 4 --degree 15``, which writes no ``--out`` file.
+- ``cli_thm2_p999`` runs ``cellform verify thm2 --pmax 999 --out X`` on an
+  empty ``--cache-dir``.
+
+A run of the last three fails unless its ``--out`` rows, or its stdout where
+it writes none, have the sha256 in ``CLI_DIGESTS``.
+
+Every child runs in a session of its own.  A SIGTERM to this script (or
+Ctrl-C) kills the running child's whole process group, ``run.py``'s worker
+included, and the temporary directory is removed on the way out.
 
 WORKLOAD=PAIRS sets a pair count (default: 3 of each workload).  The file
 keeps every pair's metrics and failed ops, the medians, the parent's
@@ -41,22 +51,30 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("enumerate", "conj1_cold", "catalog_mixed", "congruences")
-CLI_WORKLOADS = {
-    "cli_enumerate_n11": ["enumerate", "--n", "11"],
-    "cli_conj1_n10_p5": ["verify", "conj1", "--n", "10", "--p", "5"],
+CLI_WORKLOADS = {  # {out} and {cache} stand for the run's --out file and an empty cache dir
+    "cli_enumerate_n11": ["enumerate", "--n", "11", "--out", "{out}"],
+    "cli_conj1_n10_p5": ["verify", "conj1", "--n", "10", "--p", "5", "--out", "{out}", "--cache-dir", "{cache}"],
+    "cli_fit_sigma8": ["fit", "--sequence", "sigma8", "--terms", "120", "--order", "4", "--degree", "15"],
+    "cli_thm2_p999": ["verify", "thm2", "--pmax", "999", "--out", "{out}", "--cache-dir", "{cache}"],
 }
 ENUMERATE_N11_LINE = "N=11: 7028 convergent configurations (3565 up to duality) -> "
 ENUMERATE_N11_INTERVALS = "448479b1e1437f2cce8ccee601aa8467002b746075dd2e71d4d5baf89d43a669"
-CONJ1_N10_P5_ROWS = "66687ab8250cf8621fd5dbdd0b583524bab9dd0bf7e4e7f3311307f67824bffa"
+CLI_DIGESTS = {  # sha256 of a correct run's --out rows, or of its stdout where it writes none
+    "cli_conj1_n10_p5": "66687ab8250cf8621fd5dbdd0b583524bab9dd0bf7e4e7f3311307f67824bffa",
+    "cli_fit_sigma8": "8d7578b12d46a8669ab773608c8f262decb2b7c5dec7d6e95b4b2234f31f9d0f",
+    "cli_thm2_p999": "8baa48889343a003c7a1a24d1f8c8123e693d71617264dc544fcc53b1e56310b",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -81,10 +99,29 @@ def staged(root: Path, dest: Path) -> Path:
     return dest
 
 
+@contextmanager
+def child(cmd: list[str], **kwargs):
+    """cmd started in a session of its own; if the caller is left by an
+    exception (SIGTERM becomes SystemExit in main), the child's whole process
+    group is killed and reaped before the exception goes on."""
+    proc = subprocess.Popen(cmd, start_new_session=True, **kwargs)
+    try:
+        yield proc
+    except BaseException:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)  # the group is named by its leader's pid
+        proc.wait()
+        raise
+
+
 def run(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[dict, dict]:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
+    with child(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        stdout, stderr = proc.communicate()
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, cmd, stdout, stderr)
+    out = stdout.splitlines()
     line = json.loads(out[-1])
     machine = json.loads(next(s for s in out if s.startswith("machine: "))[len("machine: "):])
     metrics = {name: m["value"] for name, m in line["metrics"].items()}
@@ -92,22 +129,25 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) ->
 
 
 def run_cli(root: Path, workload: str, out: Path) -> dict:
-    """The workload's cellform command with --out OUT and the package of root."""
-    cmd = [sys.executable, "-m", "cellform.cli", *CLI_WORKLOADS[workload], "--out", str(out)]
-    if workload == "cli_conj1_n10_p5":
-        cmd += ["--cache-dir", str(out.with_suffix(".cache"))]
+    """The workload's cellform command with the package of root; its --out
+    file, if it writes one, is OUT."""
+    args = CLI_WORKLOADS[workload]
+    cmd = [sys.executable, "-m", "cellform.cli",
+           *(a.format(out=out, cache=out.with_suffix(".cache")) for a in args)]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     start = time.perf_counter()
-    proc = subprocess.Popen(cmd, cwd=out.parent, env=env, stdout=subprocess.PIPE, text=True)
-    printed = proc.stdout.read()
-    _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
+    with child(cmd, cwd=out.parent, env=env, stdout=subprocess.PIPE, text=True) as proc:
+        printed = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     proc.stdout.close()
     if workload == "cli_enumerate_n11":
         ok = proc.returncode == 0 and printed.startswith(ENUMERATE_N11_LINE)
+    elif "{out}" in args:
+        ok = proc.returncode == 0 and out.exists() and sha256(out.read_bytes()) == CLI_DIGESTS[workload]
     else:
-        ok = proc.returncode == 0 and out.exists() and sha256(out.read_bytes()) == CONJ1_N10_P5_ROWS
+        ok = proc.returncode == 0 and sha256(printed.encode()) == CLI_DIGESTS[workload]
     return {"metrics": {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024},
             "attempted": 1, "failed": int(not ok)}
 
@@ -139,7 +179,12 @@ def run_pair(sides: dict, workload: str, first: str, seed: int, seconds: float, 
     return pair
 
 
+def _terminated(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, _terminated)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path)
     ap.add_argument("--label", required=True)

@@ -14,7 +14,7 @@ from .catalog import Catalog
 from .configurations import Configuration, format_configuration
 from .ctengine import leading_coefficients
 from .modforms import ETA4_2Z_4Z, ETA6_4Z, eta_qexp, gamma_cm, gamma_eta12_pointcount
-from .sequences import a_sigma8, apery_values
+from .sequences import a_sigma8, a_sigma8_mod, apery_values
 
 
 @dataclass(frozen=True)
@@ -88,14 +88,24 @@ def verify_thm1(l: int, p_max: int) -> CongruenceReport:
 def verify_thm2(p_max: int) -> CongruenceReport:
     """a_sigma8((p-1)/2) against the weight-6 point-count coefficient, odd p.
 
-    First the closed form is tied to the cellular integral it stands for: the
-    sweep of sigma8 must give a_sigma8(n) for n <= min(6, (p_max-1)/2).
+    The cases read a_sigma8 through its residue route, a_sigma8_mod.  First
+    both forms are tied to the cellular integral they stand for: the sweep of
+    sigma8 must give a_sigma8(n) exactly, and a_sigma8_mod(n, M) mod the
+    report's largest p^2 = M, for n <= min(6, (p_max-1)/2).
     """
     swept = leading_coefficients((8, 3, 6, 1, 4, 7, 2, 5), min(6, _half(p_max))).terms
+    modulus = max(odd_primes_in(3, p_max + 1), default=1) ** 2
     for n, term in enumerate(swept):
         if term != a_sigma8(n):
             raise ArithmeticError(f"sigma8 sweep gives J({n}) = {term}, a_sigma8({n}) = {a_sigma8(n)}")
-    return _at_half("THM2", 3, p_max, a_sigma8, gamma_eta12_pointcount)
+        residue = a_sigma8_mod(n, modulus)
+        if term % modulus != residue:
+            raise ArithmeticError(
+                f"sigma8 sweep gives J({n}) = {term % modulus} mod {modulus}, "
+                f"a_sigma8_mod({n}, {modulus}) = {residue}"
+            )
+    lhs = lambda h: a_sigma8_mod(h, (2 * h + 1) ** 2)  # mod p^2 = (2h+1)^2
+    return _at_half("THM2", 3, p_max, lhs, gamma_eta12_pointcount)
 
 
 def verify_ahlgren(p_max: int) -> CongruenceReport:

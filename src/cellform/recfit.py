@@ -1,26 +1,32 @@
 """Exact fitting of linear recurrences with polynomial coefficients.
 
 The overdetermined linear system for the unknown coefficient polynomials is
-solved modulo a fixed ladder of 62-bit primes; the nullspace vector is
-recovered over Q by CRT plus rational reconstruction and then certified by
-exact integer verification against every supplied term.  Only primes whose
-pivot columns match the best seen enter the CRT (a rank drop mod p shows in
-them); a candidate that fails certification triggers more primes, and
-nothing is ever accepted on residual evidence alone.
+solved modulo a fixed ladder of primes below 2^31 by int64 row reduction; the
+nullspace vector is recovered over Q by CRT plus rational reconstruction and
+then certified by exact integer verification against every supplied term.
+Only primes whose pivot columns match the best seen enter the CRT (a rank
+drop mod p shows in them); a candidate that fails certification triggers more
+primes, and nothing is ever accepted on residual evidence alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+
+import numpy as np
 
 from ._primes import is_prime
 
 _OVERDETERMINATION_MARGIN = 10
+# Residues below 2^31 keep every product of two of them below 2^62, so the
+# int64 row reduction cannot overflow.
+_WORD_PRIME_LIMIT = 1 << 31
+_MAX_PRIMES = 48  # 48 x 31 bits: the CRT modulus reaches about 1,488 bits
 
 
 def _prime_ladder():
-    p = (1 << 62) - 57
+    p = _WORD_PRIME_LIMIT - 1
     while True:
         while not is_prime(p):
             p -= 2
@@ -47,10 +53,20 @@ class PolyRecurrence:
         return acc
 
     def verify(self, seq) -> bool:
-        return all(
-            sum(self.poly_value(j, n) * seq[n + j] for j in range(self.order + 1)) == 0
-            for n in range(len(seq) - self.order)
-        )
+        """Exact check of every supplied term, in integers: the coefficients
+        are scaled once by the lcm of their denominators."""
+        scale = lcm(*(c.denominator for row in self.coefficients for c in row))
+        polys = [[int(c * scale) for c in reversed(row)] for row in self.coefficients]
+        for n in range(len(seq) - self.order):
+            total = 0
+            for j, poly in enumerate(polys):
+                acc = 0
+                for c in poly:
+                    acc = acc * n + c
+                total += acc * seq[n + j]
+            if total:
+                return False
+        return True
 
     def extend(self, seq, count: int) -> list[int]:
         """Forward-predict terms after seq using the recurrence."""
@@ -69,23 +85,26 @@ class PolyRecurrence:
         return values[len(seq):]
 
 
-def _rref_mod(matrix: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form mod p; returns (rows, pivot column list)."""
-    rows = [row[:] for row in matrix]
-    n_rows, n_cols = len(rows), len(rows[0])
+def _rref_mod(matrix, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod a prime p < 2^31, by int64 rank-1 updates;
+    returns (rows, pivot column list)."""
+    if p >= _WORD_PRIME_LIMIT:
+        raise ValueError(f"p = {p} is not below 2^31; int64 products would overflow")
+    rows = np.array(matrix, dtype=np.int64) % p
+    n_rows, n_cols = rows.shape
     pivots = []
     r = 0
     for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c] % p), None)
-        if pivot is None:
+        nonzero = np.flatnonzero(rows[r:, c])
+        if not nonzero.size:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivot = r + int(nonzero[0])
+        rows[[r, pivot]] = rows[[pivot, r]]
+        rows[r] = rows[r] * pow(int(rows[r, c]), -1, p) % p
+        col = rows[:, c].copy()
+        col[r] = 0
+        rows -= np.outer(col, rows[r])  # each product is below p^2 < 2^62
+        rows %= p
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -96,15 +115,15 @@ def _rref_mod(matrix: list[list[int]], p: int) -> tuple[list[list[int]], list[in
 def _nullspace_vector_mod(matrix, p):
     """Deterministic nullspace sample mod p: last free column set to 1."""
     rows, pivots = _rref_mod(matrix, p)
-    n_cols = len(matrix[0])
+    n_cols = rows.shape[1]
     free = [c for c in range(n_cols) if c not in pivots]
     if not free:
         return None, pivots
     choice = free[-1]
     vec = [0] * n_cols
     vec[choice] = 1
-    for row, pc in zip(rows, pivots):
-        vec[pc] = -row[choice] % p
+    for pc, x in zip(pivots, rows[:, choice].tolist()):
+        vec[pc] = -x % p
     return vec, pivots
 
 
@@ -144,21 +163,19 @@ def fit(seq, order: int, degree: int) -> PolyRecurrence | None:
     n_rows = len(seq) - order
 
     def build_rows(p):
-        rows = []
-        for n in range(n_rows):
-            row = []
-            for j in range(order + 1):
-                val = seq[n + j] % p
-                npow = 1
-                for _ in range(degree + 1):
-                    row.append(val * npow % p)
-                    npow = npow * n % p
-            rows.append(row)
-        return rows
+        # Row n holds seq[n+j] n^t mod p in column j (degree+1) + t.  The int64
+        # products need p < 2^31, which _rref_mod checks before using them.
+        values = np.array([[seq[n + j] % p for j in range(order + 1)] for n in range(n_rows)],
+                          dtype=np.int64)
+        powers = np.ones((n_rows, degree + 1), dtype=np.int64)
+        ns = np.arange(n_rows, dtype=np.int64) % p
+        for t in range(1, degree + 1):
+            powers[:, t] = powers[:, t - 1] * ns % p
+        return (values[:, :, None] * powers[:, None, :] % p).reshape(n_rows, -1)
 
     ladder = _prime_ladder()
     best = None  # (-rank, pivot list) of the primes in the CRT
-    for _ in range(24):  # plenty for desk-scale coefficient sizes
+    for _ in range(_MAX_PRIMES):
         p = next(ladder)
         vec, pivots = _nullspace_vector_mod(build_rows(p), p)
         if vec is None:

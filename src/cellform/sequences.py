@@ -4,7 +4,8 @@ and the elementary congruence checkers that back the supercongruence proofs.
 `apery_a` and `apery_b` are the direct binomial sums: they define the two
 Apery sequences and serve as test oracles.  The verifiers evaluate them with
 `apery_values`, one pass of the three-term recurrence with every division
-checked to be exact.  `a_sigma8` squares one packed big integer.  The lemma
+checked to be exact.  `a_sigma8` squares one packed big integer;
+`a_sigma8_mod` gives its residue from word-size convolutions.  The lemma
 checks are direct sums in exact integer or residue arithmetic, so they stay
 independent of clever identities.
 """
@@ -13,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, lcm, prod
+
+import numpy as np
 
 from ._primes import check_prime
 
@@ -72,6 +75,23 @@ def a_sigma8(n: int) -> int:
         int.from_bytes(square[i : i + width], "little") ** 2
         for i in range(0, len(square), width)
     )
+
+
+def a_sigma8_mod(n: int, m: int) -> int:
+    """a_sigma8(n) mod m, from the residues c_k mod m: one convolution, each
+    entry reduced, then the sum of their squares mod m.
+
+    The convolution sums n+1 products below (m-1)^2, so it runs in int64 while
+    (n+1)(m-1)^2 < 2^63 and in Python integers (dtype=object) above that.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if m < 1:
+        raise ValueError("m must be positive")
+    dtype = np.int64 if (n + 1) * (m - 1) ** 2 < 2**63 else object
+    c = np.array([comb(n, k) * comb(n + k, k) % m for k in range(n + 1)], dtype=dtype)
+    conv = np.convolve(c, c) % m
+    return sum((conv * conv % m).tolist()) % m
 
 
 def rising_factorial(a: int, n: int) -> int:

@@ -51,6 +51,16 @@ def test_thm2_ties_the_closed_form_to_the_sweep(monkeypatch):
         verify_thm2(13)
 
 
+def test_thm2_ties_the_residue_route_to_the_sweep(monkeypatch):
+    import cellform.congruences as congruences
+
+    residue = congruences.a_sigma8_mod
+    monkeypatch.setattr(congruences, "a_sigma8_mod", lambda n, m: (residue(n, m) + (n == 3)) % m)
+    # J(3) = 4124193 is 86 mod 169, the square of the largest prime up to 13
+    with pytest.raises(ArithmeticError, match=r"J\(3\) = 86 mod 169, a_sigma8_mod\(3, 169\) = 87"):
+        verify_thm2(13)
+
+
 def test_thm2_worked_cases():
     report = verify_thm2(7)
     p3 = _case_for(report, p=3)

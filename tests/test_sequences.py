@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
@@ -8,6 +8,7 @@ from cellform.sequences import (
     _harmonic_residues,
     _harmonic_window_residues,
     a_sigma8,
+    a_sigma8_mod,
     apery_a,
     apery_b,
     apery_values,
@@ -75,6 +76,27 @@ def test_a_sigma8_matches_double_loop_convolution():
 
     for n in range(201):
         assert a_sigma8(n) == double_loop(n)
+
+
+def test_a_sigma8_mod_matches_the_exact_value(monkeypatch):
+    import cellform.sequences as sequences
+
+    dtypes = []
+    convolve = sequences.np.convolve
+    monkeypatch.setattr(sequences.np, "convolve", lambda a, b: dtypes.append(a.dtype) or convolve(a, b))
+    for n in range(61):
+        exact = a_sigma8(n)
+        # the largest m with (n+1)(m-1)^2 < 2^63 is the last one done in int64
+        last_int64 = isqrt((2**63 - 1) // (n + 1)) + 1
+        moduli = [p * p for p in (3, 5, 7, 101, 401, 7919, 1_000_003)] + [1, 2, last_int64, last_int64 + 1]
+        for m in moduli:
+            dtypes.clear()
+            assert a_sigma8_mod(n, m) == exact % m, (n, m)
+            assert dtypes == [sequences.np.dtype(object if m > last_int64 else sequences.np.int64)]
+    with pytest.raises(ValueError):
+        a_sigma8_mod(-1, 9)
+    with pytest.raises(ValueError):
+        a_sigma8_mod(3, 0)
 
 
 def test_rising_factorial():
