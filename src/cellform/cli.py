@@ -31,11 +31,12 @@ from .congruences import (
 )
 from .ctengine import best_model, leading_coefficients
 from .ffhyper import (
-    hyp2f1_exact,
+    hyp2f1_from_trace,
     hyp_greene,
     truncated_2f1_mod_p2,
     truncated_2f1_reference,
 )
+from .kernels import legendre_traces
 from .modforms import ETA6_4Z, ETA12_2Z, eta_qexp, gamma_cm, gamma_eta12_pointcount
 from .recfit import check_self_duality_symmetry, fit
 from .sequences import a_sigma8, apery_a, apery_b, lemma_suite
@@ -176,7 +177,7 @@ def cmd_modform(args) -> int:
 def cmd_hyper(args) -> int:
     p = args.p
     rows = []
-    exact = {lam: hyp2f1_exact(p, lam) for lam in range(2, p)}
+    exact = {lam: hyp2f1_from_trace(p, int(a)) for lam, a in enumerate(legendre_traces(p), start=2)}
     for lam in range(2, p):
         greene = hyp_greene(p, 1, lam)
         transform_ok = exact[lam] == _phi(p, lam) * exact[pow(lam, -1, p)]

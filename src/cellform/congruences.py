@@ -1,9 +1,10 @@
 """Verification harness for the supercongruence statements.
 
-Each statement compares residues computed along two independent routes
-(closed-form binomial sums against modular coefficient sources), so a pass
-is meaningful evidence.  Reports are deterministic: cases come out sorted by
-their parameters and rerunning yields identical output.
+THM1, THM2, AHLGREN and BEUKERS compare residues along two independent routes
+(closed-form binomial sums against modular coefficient sources), so a pass is
+meaningful evidence.  COSTER and CONJ1 compare two terms of one sequence: they
+test the congruence, not the terms.  Reports are deterministic: cases come out
+sorted by their parameters and rerunning yields identical output.
 """
 from __future__ import annotations
 

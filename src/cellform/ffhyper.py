@@ -125,9 +125,14 @@ def hyp_greene(p: int, n_upper: int, x: int) -> Fraction:
     return Fraction(numerator, p ** (n_upper + 1))
 
 
+def hyp2f1_from_trace(p: int, trace: int) -> Fraction:
+    """2F1 at lambda from the Legendre trace a(p,lambda): -phi(-1) a(p,lambda) / p."""
+    return Fraction(-_phi(p, -1) * trace, p)
+
+
 def hyp2f1_exact(p: int, lam: int) -> Fraction:
-    """2F1 at lambda through the elliptic point count: -phi(-1) a(p,lambda) / p."""
-    return Fraction(-_phi(p, -1) * legendre_trace(p, lam), p)
+    """2F1 at lambda through the elliptic point count of `modforms.legendre_trace`."""
+    return hyp2f1_from_trace(p, legendre_trace(p, lam))
 
 
 def teichmuller(x: int, p: int, n: int) -> int:

@@ -19,7 +19,6 @@ from ._primes import check_prime
 USE_NUMBA = False
 
 _BATCH = 1 << 17  # rows per block: generation frontiers and canonicalization
-_LEGENDRE_ROWS = 256  # lambdas per block: memory stays O(256 p), not O(p^2)
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +155,21 @@ def decode_key(key: int, n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Legendre point counts: a(p, lambda) = -sum_x phi(x (x-1) (x-lambda))
+# Legendre point counts: a(p, lambda) = -sum_x phi(x (x-1)) phi(x - lambda), so
+# one correlation of u = phi(x (x-1)) against phi written out twice in a row
+# gives every lambda in O(p) memory; no sum of p terms of size 1 can overflow.
 # ---------------------------------------------------------------------------
 
 def legendre_traces(p: int) -> np.ndarray:
     """Traces a(p, lambda) for lambda = 2..p-1 (Hasse bound asserted)."""
     check_prime(p)
-    phi = np.full(p, -1, dtype=np.int8)
-    x = np.arange(1, p, dtype=np.int64)
-    phi[(x * x) % p] = 1
-    phi[0] = 0
+    phi = np.full(p, -1, dtype=np.int64)
     xs = np.arange(p, dtype=np.int64)
-    base = xs * (xs - 1) % p
-    traces = np.empty(p - 2, dtype=np.int64)
-    for lo in range(2, p, _LEGENDRE_ROWS):
-        lams = np.arange(lo, min(lo + _LEGENDRE_ROWS, p), dtype=np.int64)
-        f = base[None, :] * (xs[None, :] - lams[:, None]) % p
-        traces[lo - 2 : lo - 2 + lams.size] = -phi[f].sum(axis=1, dtype=np.int64)
+    phi[xs * xs % p] = 1
+    phi[0] = 0
+    # corr[k] = sum_x u(x) phi(x + k); lambda = p - k runs 2..p-1 as k runs p-2..1
+    corr = np.correlate(np.concatenate([phi, phi]), phi[xs * (xs - 1) % p], mode="valid")
+    traces = -corr[p - 2 : 0 : -1]
     if traces.size and int(np.max(traces * traces)) > 4 * p:
         raise AssertionError(f"Hasse bound violated at p={p}")
     return traces

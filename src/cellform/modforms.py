@@ -1,6 +1,8 @@
 """Fourier coefficients of the relevant newforms by three independent routes:
 a Gaussian-integer closed form coming from Hecke characters of Q(i), eta
-product q-expansions, and Legendre-curve point counts.
+product q-expansions (sparse multiplies by Euler's pentagonal series), and
+Legendre-curve point counts (one correlation in `kernels.legendre_traces`;
+the plain sum `legendre_trace` is its oracle).
 
 The weight-k CM coefficient at an odd prime p is
     (-1)^((x+y-1)(k-1)/2) [(x+iy)^(k-1) + (x-iy)^(k-1)]   for p = x^2+y^2, x odd,
@@ -85,17 +87,24 @@ ETA4_2Z_4Z = EtaProductSpec(((2, 4), (4, 4)))  # weight 4, level 8
 
 def eta_qexp(spec: EtaProductSpec, n_max: int) -> list[int]:
     """Exact integer q-expansion of an eta product: index n holds the q^n
-    coefficient, for n up to n_max."""
+    coefficient, for n up to n_max.  Each power of prod_j (1 - q^(scale j)) is
+    one int64 multiply by the pentagonal series sum_k (-1)^k q^(scale k(3k-1)/2);
+    OverflowError is raised before any multiply whose sums could reach 2^63."""
     shift = spec.leading_power
     length = max(n_max + 1 - shift, 1)
-    prod = [1] + [0] * (length - 1)
-    # Multiply each factor (1 - q^step) of prod_j (1 - q^(scale j))^exponent in place.
+    prod = np.zeros(length, dtype=np.int64)
+    prod[0] = 1
     for scale, exponent in spec.factors:
+        ks = range(-isqrt(length), isqrt(length) + 1)  # k(3k-1)/2 >= k^2
+        terms = [(e, (-1) ** abs(k)) for k in ks if (e := scale * k * (3 * k - 1) // 2) < length]
         for _ in range(exponent):
-            for step in range(scale, length, scale):
-                for i in range(length - 1, step - 1, -1):
-                    prod[i] -= prod[i - step]
-    return ([0] * shift + prod)[: n_max + 1]
+            if int(np.abs(prod).max()) * (len(terms) + 1) >= 2**63:
+                raise OverflowError(f"eta_qexp{spec.factors} to q^{n_max} could pass 2^63 in int64")
+            nxt = np.zeros_like(prod)
+            for e, sign in terms:
+                nxt[e:] += sign * prod[: length - e]
+            prod = nxt
+    return ([0] * shift + prod.tolist())[: n_max + 1]
 
 
 # ---------------------------------------------------------------------------

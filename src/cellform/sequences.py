@@ -6,8 +6,8 @@ Apery sequences and serve as test oracles.  The verifiers evaluate them with
 `apery_values`, one pass of the three-term recurrence with every division
 checked to be exact.  `a_sigma8` squares one packed big integer;
 `a_sigma8_mod` gives its residue from word-size convolutions.  The lemma
-checks are direct sums in exact integer or residue arithmetic, so they stay
-independent of clever identities.
+checks are direct sums in exact integer or residue arithmetic (three as numpy
+products mod p), so they stay independent of clever identities.
 """
 from __future__ import annotations
 
@@ -77,19 +77,29 @@ def a_sigma8(n: int) -> int:
     )
 
 
+def _residue_dtype(terms: int, modulus: int):
+    """int64 while `terms` products of two residues mod modulus sum below 2^63, else object."""
+    return np.int64 if terms * (modulus - 1) ** 2 < 2**63 else object
+
+
 def a_sigma8_mod(n: int, m: int) -> int:
     """a_sigma8(n) mod m, from the residues c_k mod m: one convolution, each
     entry reduced, then the sum of their squares mod m.
 
-    The convolution sums n+1 products below (m-1)^2, so it runs in int64 while
-    (n+1)(m-1)^2 < 2^63 and in Python integers (dtype=object) above that.
+    The c_k come from c_0 = 1 by the exact ratio c_(k+1) = c_k (n-k)(n+k+1) / (k+1)^2.
+    The convolution sums n+1 products below (m-1)^2 (see `_residue_dtype`).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if m < 1:
         raise ValueError("m must be positive")
-    dtype = np.int64 if (n + 1) * (m - 1) ** 2 < 2**63 else object
-    c = np.array([comb(n, k) * comb(n + k, k) % m for k in range(n + 1)], dtype=dtype)
+    residues, ck = [], 1
+    for k in range(n + 1):
+        residues.append(ck % m)
+        ck, rem = divmod(ck * (n - k) * (n + k + 1), (k + 1) ** 2)
+        if rem:
+            raise ArithmeticError(f"a_sigma8_mod: inexact ratio at n={n}, k={k}")
+    c = np.array(residues, dtype=_residue_dtype(n + 1, m))
     conv = np.convolve(c, c) % m
     return sum((conv * conv % m).tolist()) % m
 
@@ -168,20 +178,15 @@ def _harmonic_window_residues(p: int) -> list[int]:
 
 
 def _check_harmonic_quadruple_sum(p: int) -> bool:
-    # sum over k_i <= m, sum k_i = p-1 of [prod (k_i+1)_m^2] (H_{m+k4} - H_k4) == 0 (mod p)
+    # sum over k_i <= m, sum k_i = p-1 of [prod (k_i+1)_m^2] (H_{m+k4} - H_k4) == 0 (mod p):
+    # the x^(p-1) coefficient of P(x)^3 (P hw)(x), P = sum_k (k+1)_m^2 x^k, a sum of p products
     m = (p - 1) // 2
-    poch = [rising_factorial(k + 1, m) ** 2 % p for k in range(m + 1)]
-    hw = _harmonic_window_residues(p)
-    total = 0
-    target = p - 1
-    for k1 in range(m + 1):
-        for k2 in range(m + 1):
-            lo = max(0, target - k1 - k2 - m)
-            hi = min(m, target - k1 - k2)
-            for k3 in range(lo, hi + 1):
-                k4 = target - k1 - k2 - k3
-                total += poch[k1] * poch[k2] % p * poch[k3] % p * poch[k4] % p * hw[k4]
-    return total % p == 0
+    dtype = _residue_dtype(p, p)
+    poch = np.array([rising_factorial(k + 1, m) ** 2 % p for k in range(m + 1)], dtype=dtype)
+    hw = np.array(_harmonic_window_residues(p), dtype=dtype)
+    square = np.convolve(poch, poch) % p
+    weighted = np.convolve(poch, poch * hw % p) % p
+    return int(np.dot(square, weighted[::-1])) % p == 0
 
 
 def _binomial_pair_residues(p: int, modulus: int) -> list[int]:
@@ -191,16 +196,11 @@ def _binomial_pair_residues(p: int, modulus: int) -> list[int]:
 
 def _check_constrained_sum_equivalence(p: int) -> bool:
     # Quadruple sum with sum k_i = p-1 matches the one with k1+k2 = k3+k4 (mod p^2).
+    # x = the self-convolution of C(m,k) C(m+k,k), p entries x[0..p-1]; both sums have p terms
     p2 = p * p
-    cb = _binomial_pair_residues(p, p2)
-    m = (p - 1) // 2
-    x = [0] * (2 * m + 1)
-    for i, ci in enumerate(cb):
-        for j, cj in enumerate(cb):
-            x[i + j] = (x[i + j] + ci * cj) % p2
-    lhs = sum(x[s] * x[p - 1 - s] for s in range(max(0, p - 1 - 2 * m), min(2 * m, p - 1) + 1)) % p2
-    rhs = sum(v * v for v in x) % p2
-    return lhs == rhs
+    cb = np.array(_binomial_pair_residues(p, p2), dtype=_residue_dtype(p, p2))
+    x = np.convolve(cb, cb) % p2
+    return int(np.dot(x, x[::-1])) % p2 == int(np.dot(x, x)) % p2
 
 
 def _check_binomial_to_pochhammer(p: int) -> bool:
@@ -226,11 +226,12 @@ def _check_reflected_binomial(p: int) -> bool:
 
 def _check_power_sums(p: int) -> bool:
     # sum_{j=1}^{p-1} j^s == -1 if (p-1) | s else 0 (mod p), for 1 <= s <= 2(p-1)
+    power = j = np.array(range(1, p), dtype=_residue_dtype(p, p))  # power: j^s mod p
     for s in range(1, 2 * (p - 1) + 1):
-        total = sum(pow(j, s, p) for j in range(1, p)) % p
         expected = p - 1 if s % (p - 1) == 0 else 0
-        if total != expected:
+        if int(power.sum()) % p != expected:
             return False
+        power = power * j % p
     return True
 
 

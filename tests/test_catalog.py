@@ -385,3 +385,35 @@ def test_opening_a_missing_catalog_creates_no_file(tmp_path):
     catalog = Catalog(tmp_path / "sub" / "catalog.json")
     assert catalog.entries == {}
     assert list(tmp_path.iterdir()) == []
+
+
+def test_catalog_version_bump_invalidates(tmp_path, monkeypatch):
+    path = tmp_path / "catalog.json"
+    catalog = Catalog(path)
+    leading_coefficients(canonical_configuration(SIGMA5), 3, catalog)
+    monkeypatch.setattr(Catalog, "ENGINE_VERSION", "cellform-ct-TEST")
+    fresh = Catalog(path)
+    assert fresh.entries == {}
+
+
+def test_catalog_write_is_atomic_and_roundtrips(tmp_path):
+    path = tmp_path / "catalog.json"
+    catalog = Catalog(path)
+    record = leading_coefficients(canonical_configuration(SIGMA6), 3, catalog)
+    again = Catalog(path)
+    key = format_configuration(record.config)
+    assert again.get_terms(key) == record.terms
+    assert not list(tmp_path.glob(".catalog-*"))  # no temp files left behind
+
+
+def test_edited_snapshot_term_raises_naming_the_file(tmp_path):
+    path = tmp_path / "catalog.json"
+    catalog = Catalog(path)
+    leading_coefficients(canonical_configuration(SIGMA5), 3, catalog)
+    catalog.save()
+    edited = path.read_text().replace('"19"', '"20"')
+    assert edited != path.read_text()
+    path.write_text(edited)
+    with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json: .*sha256"):
+        Catalog(path)
+    assert path.read_text() == edited

@@ -267,7 +267,8 @@ def test_hyper_evaluates_each_2f1_and_the_residue_tables_once(capsys, monkeypatc
     import cellform.cli as cli
     import cellform.ffhyper as ffhyper
 
-    calls = {"hyp2f1_exact": 0, "_binomial_pair_residues": 0, "_harmonic_window_residues": 0}
+    calls = {"legendre_traces": 0, "hyp2f1_exact": 0, "_binomial_pair_residues": 0,
+             "_harmonic_window_residues": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -278,14 +279,29 @@ def test_hyper_evaluates_each_2f1_and_the_residue_tables_once(capsys, monkeypatc
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(cli, "hyp2f1_exact")
-    for name in calls:
+    counted(cli, "legendre_traces")
+    for name in ("hyp2f1_exact", "_binomial_pair_residues", "_harmonic_window_residues"):
         counted(ffhyper, name)
     ffhyper._truncation_residues.cache_clear()
     code, _, _ = run_main(["hyper", "--p", "13"], capsys)
     assert code == 0
-    # One table entry for each lambda = 2..12 and one reference evaluation each.
-    assert calls == {"hyp2f1_exact": 22, "_binomial_pair_residues": 1, "_harmonic_window_residues": 1}
+    # The table reads every trace from one kernel call; the reference evaluates
+    # each lambda = 2..12 once by the plain point count.
+    assert calls == {"legendre_traces": 1, "hyp2f1_exact": 11, "_binomial_pair_residues": 1,
+                     "_harmonic_window_residues": 1}
+
+
+def test_hyper_rows_fail_when_the_trace_kernel_is_wrong(capsys, monkeypatch):
+    # The Greene sums and the truncated reference do not read the kernel, so
+    # a wrong trace table must fail every lambda row.
+    import cellform.cli as cli
+
+    kernel = cli.legendre_traces
+    monkeypatch.setattr(cli, "legendre_traces", lambda p: kernel(p) + 1)
+    code, stdout, stderr = run_main(["hyper", "--p", "13"], capsys)
+    assert code == 1
+    failed = [row["lambda"] for row in json.loads(stderr)["failures"]]
+    assert failed == list(range(2, 13))
 
 
 def test_fit_subcommand(tmp_path, capsys):

@@ -48,7 +48,7 @@ def test_canonical_key_paths_agree(n):
         assert decoded == min(coset_images(tuple(row)))
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 13, 101, 521])  # 521 crosses a 256-row block
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 101, 521, 1009])
 def test_legendre_paths_agree(p):
     traces = kernels.legendre_traces(p)
     assert traces.tolist() == [legendre_trace(p, lam) for lam in range(2, p)]

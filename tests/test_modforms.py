@@ -139,6 +139,25 @@ def test_eta_qexp_matches_naive_product(spec):
     assert eta_qexp(spec, 80) == _naive_eta_qexp(spec, 80)
 
 
+DELTA = EtaProductSpec(((1, 24),))  # q prod (1 - q^n)^24, the coefficients are tau(n)
+
+
+def test_eta_qexp_gives_ramanujan_tau():
+    s = eta_qexp(DELTA, 80)
+    assert s[:4] == [0, 1, -24, 252]
+    assert s == _naive_eta_qexp(DELTA, 80)
+    # tau(1000) = tau(8) tau(125), with tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1))
+    tau5 = 4830
+    tau125 = tau5 * (tau5 * tau5 - 5**11) - 5**11 * tau5
+    assert eta_qexp(DELTA, 1000)[1000] == 84480 * tau125
+
+
+def test_eta_qexp_raises_before_int64_wraps():
+    # |tau(2563)| is the first |tau(n)| to reach 2^63.
+    with pytest.raises(OverflowError, match="2\\^63"):
+        eta_qexp(DELTA, 2563)
+
+
 def test_eta_rejects_fractional_leading_power():
     with pytest.raises(ValueError):
         eta_qexp(EtaProductSpec(((1, 1),)), 10)
