@@ -33,8 +33,10 @@ nonzero:
 - ``cli_modform_p1999`` runs ``cellform modform --pmax 1999``, which writes
   no ``--out`` file: eta products to q^1999 and a Legendre trace table at
   every odd prime up to 1999.
+- ``cli_hyper_p397`` runs ``cellform hyper --p 397 --out X``: a Greene sum,
+  a point count and a truncated sum mod p^2 for each lambda = 2..396.
 
-A run of the last four fails unless its ``--out`` rows, or its stdout where
+A run of the last five fails unless its ``--out`` rows, or its stdout where
 it writes none, have the sha256 in ``CLI_DIGESTS``.
 
 Every child runs in a session of its own.  A SIGTERM to this script (or
@@ -71,6 +73,7 @@ CLI_WORKLOADS = {  # {out} and {cache} stand for the run's --out file and an emp
     "cli_fit_sigma8": ["fit", "--sequence", "sigma8", "--terms", "120", "--order", "4", "--degree", "15"],
     "cli_thm2_p999": ["verify", "thm2", "--pmax", "999", "--out", "{out}", "--cache-dir", "{cache}"],
     "cli_modform_p1999": ["modform", "--pmax", "1999"],
+    "cli_hyper_p397": ["hyper", "--p", "397", "--out", "{out}"],
 }
 ENUMERATE_N11_LINE = "N=11: 7028 convergent configurations (3565 up to duality) -> "
 ENUMERATE_N11_INTERVALS = "448479b1e1437f2cce8ccee601aa8467002b746075dd2e71d4d5baf89d43a669"
@@ -79,6 +82,7 @@ CLI_DIGESTS = {  # sha256 of a correct run's --out rows, or of its stdout where 
     "cli_fit_sigma8": "8d7578b12d46a8669ab773608c8f262decb2b7c5dec7d6e95b4b2234f31f9d0f",
     "cli_thm2_p999": "8baa48889343a003c7a1a24d1f8c8123e693d71617264dc544fcc53b1e56310b",
     "cli_modform_p1999": "37d8878f3ceb574753238c5c9b11793d2b8e8196877a26575fcf535009b21be5",
+    "cli_hyper_p397": "f20e48cf736b66d143001d97e8565806dcdb332806e68dbca82b91920d27e753",
 }
 
 

@@ -3,10 +3,12 @@
 Three loops dominate desk-scale runtimes: generating the convergent
 permutations during enumeration, canonicalizing them under the two-sided
 dihedral action, and counting points on the Legendre curves over F_p.  Each
-has one vectorized implementation here; the plain-Python oracles they are
-tested against are ``configurations.is_convergent`` (for the convergence test
-the generator applies seat by seat), ``configurations.coset_images`` (whose
-least element is the canonical key) and ``modforms.legendre_trace``.
+has one vectorized implementation here.  The first two are tested against
+the plain-Python oracles ``configurations.is_convergent`` (for the convergence
+test the generator applies seat by seat) and ``configurations.coset_images``
+(whose least element is the canonical key); the traces against
+``modforms.legendre_trace``, a second route that evaluates each curve's cubic
+directly, and the tests check that one against a plain sum of characters.
 Everything involving arbitrary-precision integers lives elsewhere.
 """
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Fourier coefficients of the relevant newforms by three independent routes:
 a Gaussian-integer closed form coming from Hecke characters of Q(i), eta
 product q-expansions (sparse multiplies by Euler's pentagonal series), and
-Legendre-curve point counts (one correlation in `kernels.legendre_traces`;
-the plain sum `legendre_trace` is its oracle).
+Legendre-curve point counts: one correlation in `kernels.legendre_traces`
+gives every lambda at p, and `legendre_trace` evaluates one curve's cubic
+directly.  The tests hold the kernel to `legendre_trace`, and it to the plain
+sum of characters that is the naive oracle of both.
 
 The weight-k CM coefficient at an odd prime p is
     (-1)^((x+y-1)(k-1)/2) [(x+iy)^(k-1) + (x-iy)^(k-1)]   for p = x^2+y^2, x odd,
@@ -15,7 +17,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from ._primes import _phi, check_prime
+from ._primes import check_prime
 from .kernels import legendre_traces
 
 
@@ -112,12 +114,20 @@ def eta_qexp(spec: EtaProductSpec, n_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def legendre_trace(p: int, lam: int) -> int:
-    """a(p, lambda) = p + 1 - #E_lambda(F_p) for y^2 = x(x-1)(x-lambda)."""
+    """a(p, lambda) = p + 1 - #E_lambda(F_p) for y^2 = x(x-1)(x-lambda): the
+    cubic at every x of F_p, reduced after each product, looked up in a table
+    of squares."""
     check_prime(p)
     lam %= p
     if lam in (0, 1):
         raise ValueError("lambda must avoid 0 and 1")
-    a = -sum(_phi(p, x * (x - 1) * (x - lam)) for x in range(p))
+    xs = np.arange(p, dtype=np.int64)
+    square = np.zeros(p, dtype=np.bool_)
+    square[xs * xs % p] = True
+    cubic = xs * (xs - 1) % p * (xs - lam) % p
+    # phi is 0 at the roots 0, 1 and lambda; at each other x, +1 where the cubic is a square, else -1
+    squares = int(np.count_nonzero(square[cubic])) - 3
+    a = p - 3 - 2 * squares
     if a * a > 4 * p:
         raise AssertionError(f"Hasse bound violated: |{a}| > 2 sqrt({p})")
     return a

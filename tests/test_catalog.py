@@ -1,12 +1,16 @@
-"""Opening a catalog indexes its snapshot lines; each entry is parsed when read."""
+"""Opening a catalog indexes its snapshot lines, each entry parsed when read,
+and replays its journal, each line checked once per process."""
 import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import cellform.catalog as catalog_module
 from cellform.catalog import _LINE, Catalog, CatalogEntry
 from cellform.configurations import canonical_configuration, enumerate_convergent, format_configuration
 from cellform.ctengine import best_model, leading_coefficients
@@ -417,3 +421,163 @@ def test_edited_snapshot_term_raises_naming_the_file(tmp_path):
     with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json: .*sha256"):
         Catalog(path)
     assert path.read_text() == edited
+
+
+_WRITER = """
+import sys
+from cellform.catalog import Catalog
+from cellform.configurations import enumerate_convergent
+from cellform.ctengine import leading_coefficients
+
+path, part = sys.argv[1], int(sys.argv[2])
+for config in enumerate_convergent(8).configurations[part::3]:
+    catalog = Catalog(path)
+    leading_coefficients(config, 2, catalog)
+    catalog.save()
+"""
+
+
+@pytest.mark.usefixtures("checkout_env")
+def test_writer_processes_lose_no_class(tmp_path):
+    # More writers than cores, each compacting after every store.
+    path = tmp_path / "catalog.json"
+    writers = [
+        subprocess.Popen([sys.executable, "-c", _WRITER, str(path), str(part)], stderr=subprocess.PIPE)
+        for part in range(3)
+    ]
+    for writer in writers:
+        _, err = writer.communicate(timeout=120)
+        assert writer.returncode == 0, err.decode()
+    configs = enumerate_convergent(8).configurations
+    stored = Catalog(path)
+    for config in configs:
+        assert len(stored.get_terms(format_configuration(config))) == 3, config
+    assert len(json.loads(path.read_text())["entries"]) == len(configs) == 17
+
+
+def test_interleaved_instances_lose_no_entry(tmp_path):
+    path = tmp_path / "catalog.json"
+    configs = enumerate_convergent(7).configurations
+    keys = [format_configuration(c) for c in configs]
+    a, b = Catalog(path), Catalog(path)
+    leading_coefficients(configs[0], 2, a)
+    leading_coefficients(configs[1], 2, b)
+    a.save()
+    assert a.get_terms(keys[1]) is not None  # the compaction read b's store
+    leading_coefficients(configs[2], 2, b)
+    a.add_configuration(configs[3], True, best_model(configs[3]).factors)
+    b.add_configuration(configs[4], True, best_model(configs[4]).factors)
+    b.add_configuration(configs[0], True, best_model(configs[0]).factors)  # present in b: no-op
+    b.save()
+    a.save()
+    merged = Catalog(path)
+    assert sorted(merged.entries) == sorted(keys)
+    assert all(len(merged.get_terms(k)) == 3 for k in keys[:3])
+    assert a.entries.keys() == merged.entries.keys()
+
+
+def test_edited_journal_term_raises_naming_the_sigma(tmp_path):
+    path = tmp_path / "catalog.json"
+    config = canonical_configuration(SIGMA5)
+    leading_coefficients(config, 3, Catalog(path))
+    journal = path.with_name("catalog.json.journal")
+    text = journal.read_text()
+    assert '"19"' in text
+    journal.write_text(text.replace('"19"', '"20"'))
+    key = format_configuration(config)
+    with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json\.journal: .*" + key):
+        Catalog(path)
+
+
+def journal_record(sigma, entry, engine=Catalog.ENGINE_VERSION):
+    """One journal line as store writes it, under the given engine version."""
+    digest = hashlib.sha256(json.dumps([sigma, entry], separators=(",", ":")).encode()).hexdigest()
+    return json.dumps({"engine": engine, "sigma": sigma, "entry": entry, "sha256": digest},
+                      separators=(",", ":")) + "\n"
+
+
+def test_same_length_edit_after_a_replayed_open_raises(tmp_path):
+    # The replayed journal is matched by its bytes, not by its path or size.
+    path = tmp_path / "catalog.json"
+    leading_coefficients(canonical_configuration(SIGMA5), 3, Catalog(path))
+    assert Catalog(path).get_terms(SIGMA5) == [1, 3, 19, 147]
+    journal = path.with_name("catalog.json.journal")
+    edited = journal.read_bytes().replace(b'"19"', b'"20"')
+    assert len(edited) == journal.stat().st_size
+    journal.write_bytes(edited)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json\.journal: .*" + SIGMA5):
+            Catalog(path)
+
+
+def test_open_after_a_compaction_and_one_store_sees_the_new_entry(tmp_path):
+    path = tmp_path / "catalog.json"
+    leading_coefficients(canonical_configuration(SIGMA5), 3, Catalog(path))
+    assert Catalog(path).get_terms(SIGMA5) == [1, 3, 19, 147]  # the journal line is replayed
+    other = Catalog(path)
+    other.save()  # the journal is truncated
+    sigma6 = format_configuration(canonical_configuration(SIGMA6))
+    leading_coefficients(canonical_configuration(SIGMA6), 2, other)
+    assert other.journal.read_bytes().count(b"\n") == 1
+    reopened = Catalog(path)
+    assert reopened.entries == eager(path)
+    assert sorted(reopened.entries) == sorted([SIGMA5, sigma6])
+    assert reopened.get_terms(sigma6) == [1, 5, 73]
+    assert reopened.get_terms(SIGMA5) == [1, 3, 19, 147]
+
+
+def test_torn_last_line_warns_on_every_open_and_is_never_kept(tmp_path):
+    path = tmp_path / "catalog.json"
+    catalog = Catalog(path)
+    leading_coefficients(canonical_configuration(SIGMA5), 2, catalog)
+    line = catalog.journal.read_bytes()
+    with open(catalog.journal, "ab") as fh:
+        fh.write(line[: len(line) // 2])  # a crash in the middle of an append
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="torn"):
+            assert list(Catalog(path).entries) == [SIGMA5]
+    # The next append cuts the torn tail and writes the whole line, so the
+    # journal now starts with every byte an open saw, torn tail included.
+    with pytest.warns(UserWarning, match="torn"):
+        catalog.store(canonical_configuration(SIGMA5), catalog.entries[SIGMA5].intervals, [1, 3, 19])
+    assert catalog.journal.read_bytes() == line + line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Catalog(path).get_terms(SIGMA5) == [1, 3, 19]
+
+
+def test_reopening_an_unchanged_journal_digests_each_line_once(tmp_path, monkeypatch):
+    path = tmp_path / "catalog.json"
+    catalog = Catalog(path)
+    leading_coefficients(canonical_configuration(SIGMA5), 2, catalog)
+    leading_coefficients(canonical_configuration(SIGMA6), 2, catalog)
+    calls = []
+
+    def counting(sigma, data, original=catalog_module._entry_digest):
+        calls.append(sigma)
+        return original(sigma, data)
+
+    monkeypatch.setattr(catalog_module, "_entry_digest", counting)
+    opened = [Catalog(path) for _ in range(4)]
+    sigma6 = format_configuration(canonical_configuration(SIGMA6))
+    assert calls == [SIGMA5, sigma6]
+    assert all(c.get_terms(sigma6) == [1, 5, 73] for c in opened)
+    opened[0].entries[sigma6].terms[1] = "999"  # each open holds entries of its own
+    assert [c.get_terms(sigma6)[1] for c in opened] == [999, 5, 5, 5]
+    leading_coefficients(canonical_configuration(SIGMA7), 2, catalog)
+    Catalog(path)
+    assert calls[2:] == [format_configuration(canonical_configuration(SIGMA7))] * 2  # store, then open
+
+
+def test_other_engine_lines_stay_skipped_on_every_open(tmp_path, monkeypatch):
+    path = tmp_path / "catalog.json"
+    sigma6 = format_configuration(canonical_configuration(SIGMA6))
+    entry6 = {"n_points": 6, "convergent": True, "intervals": [[1, 1], [1, 2], [2, 3], [3, 4]],
+              "terms": ["1", "5"], "dual": sigma6}
+    path.with_name("catalog.json.journal").write_text(
+        journal_record(sigma6, entry6, engine="cellform-ct-0") + journal_record(SIGMA5, ENTRY5))
+    for _ in range(2):
+        assert list(Catalog(path).entries) == [SIGMA5]
+    monkeypatch.setattr(Catalog, "ENGINE_VERSION", "cellform-ct-0")
+    for _ in range(2):
+        assert list(Catalog(path).entries) == [sigma6]

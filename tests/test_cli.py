@@ -286,7 +286,7 @@ def test_hyper_evaluates_each_2f1_and_the_residue_tables_once(capsys, monkeypatc
     code, _, _ = run_main(["hyper", "--p", "13"], capsys)
     assert code == 0
     # The table reads every trace from one kernel call; the reference evaluates
-    # each lambda = 2..12 once by the plain point count.
+    # each lambda = 2..12 once by legendre_trace's own point count.
     assert calls == {"legendre_traces": 1, "hyp2f1_exact": 11, "_binomial_pair_residues": 1,
                      "_harmonic_window_residues": 1}
 

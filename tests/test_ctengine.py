@@ -3,8 +3,6 @@ import itertools
 import json
 import os
 import stat
-import subprocess
-import sys
 from collections import defaultdict
 
 import pytest
@@ -258,72 +256,6 @@ def test_snapshot_and_journal_share_one_file_mode(tmp_path):
         os.umask(old)
     assert stat.S_IMODE(catalog.path.stat().st_mode) == 0o644
     assert stat.S_IMODE(catalog.journal.stat().st_mode) == 0o644
-
-
-_WRITER = """
-import sys
-from cellform.catalog import Catalog
-from cellform.configurations import enumerate_convergent
-from cellform.ctengine import leading_coefficients
-
-path, part = sys.argv[1], int(sys.argv[2])
-for config in enumerate_convergent(8).configurations[part::3]:
-    catalog = Catalog(path)
-    leading_coefficients(config, 2, catalog)
-    catalog.save()
-"""
-
-
-@pytest.mark.usefixtures("checkout_env")
-def test_writer_processes_lose_no_class(tmp_path):
-    # More writers than cores, each compacting after every store.
-    path = tmp_path / "catalog.json"
-    writers = [
-        subprocess.Popen([sys.executable, "-c", _WRITER, str(path), str(part)], stderr=subprocess.PIPE)
-        for part in range(3)
-    ]
-    for writer in writers:
-        _, err = writer.communicate(timeout=120)
-        assert writer.returncode == 0, err.decode()
-    configs = enumerate_convergent(8).configurations
-    stored = Catalog(path)
-    for config in configs:
-        assert len(stored.get_terms(format_configuration(config))) == 3, config
-    assert len(json.loads(path.read_text())["entries"]) == len(configs) == 17
-
-
-def test_interleaved_instances_lose_no_entry(tmp_path):
-    path = tmp_path / "catalog.json"
-    configs = enumerate_convergent(7).configurations
-    keys = [format_configuration(c) for c in configs]
-    a, b = Catalog(path), Catalog(path)
-    leading_coefficients(configs[0], 2, a)
-    leading_coefficients(configs[1], 2, b)
-    a.save()
-    assert a.get_terms(keys[1]) is not None  # the compaction read b's store
-    leading_coefficients(configs[2], 2, b)
-    a.add_configuration(configs[3], True, best_model(configs[3]).factors)
-    b.add_configuration(configs[4], True, best_model(configs[4]).factors)
-    b.add_configuration(configs[0], True, best_model(configs[0]).factors)  # present in b: no-op
-    b.save()
-    a.save()
-    merged = Catalog(path)
-    assert sorted(merged.entries) == sorted(keys)
-    assert all(len(merged.get_terms(k)) == 3 for k in keys[:3])
-    assert a.entries.keys() == merged.entries.keys()
-
-
-def test_edited_journal_term_raises_naming_the_sigma(tmp_path):
-    path = tmp_path / "catalog.json"
-    config = canonical_configuration(SIGMA5)
-    leading_coefficients(config, 3, Catalog(path))
-    journal = path.with_name("catalog.json.journal")
-    text = journal.read_text()
-    assert '"19"' in text
-    journal.write_text(text.replace('"19"', '"20"'))
-    key = format_configuration(config)
-    with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json\.journal: .*" + key):
-        Catalog(path)
 
 
 def test_best_model_is_equivalent(shared_catalog):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cellform._primes import odd_primes_in
+from cellform._primes import _phi, odd_primes_in
 from cellform.kernels import legendre_traces
 from cellform.modforms import (
     ETA4_2Z_4Z,
@@ -184,6 +184,18 @@ def test_legendre_trace_small_by_enumeration():
     for p in (3, 5, 7, 11):
         for lam in range(2, p):
             assert legendre_trace(p, lam) == p + 1 - _count_points(p, lam)
+
+
+def _naive_legendre_trace(p, lam):
+    """-sum_x phi(x (x-1) (x-lambda)), each character by Euler's criterion."""
+    return -sum(_phi(p, x * (x - 1) * (x - lam)) for x in range(p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 97, 101, 397])
+def test_legendre_trace_matches_the_naive_sum(p):
+    assert [legendre_trace(p, lam) for lam in range(2, p)] == [_naive_legendre_trace(p, lam) for lam in range(2, p)]
+    # lambda is read mod p, from either side of 0
+    assert legendre_trace(p, 2 + 3 * p) == legendre_trace(p, 2 - 3 * p) == _naive_legendre_trace(p, 2)
 
 
 def test_legendre_trace_rejects():
