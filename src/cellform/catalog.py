@@ -220,16 +220,19 @@ class Catalog:
             entries[sigma] = CatalogEntry.from_json(sigma, data)
         records = list(records)
         for line in raw[len(done) : whole].split(b"\n")[:-1]:
+            sigma = None
             try:
                 record = json.loads(line)
                 if record["engine"] != self.ENGINE_VERSION:
                     continue
-                sigma, data = record["sigma"], record["entry"]
+                sigma = record["sigma"]
+                data = record["entry"]
                 if _entry_digest(sigma, data) != record["sha256"]:
-                    raise ValueError(f"entry for {sigma} does not match its sha256")
+                    raise ValueError("entry does not match its sha256")
                 entries[sigma] = CatalogEntry.from_json(sigma, data)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"corrupt catalog {self.journal}: {type(exc).__name__}: {exc}") from exc
+                at = "" if sigma is None else f" at {sigma}"
+                raise ValueError(f"corrupt catalog {self.journal}: {type(exc).__name__}: {exc}{at}") from exc
             records.append((sigma, data))
         _replayed = (self.ENGINE_VERSION, raw[:whole], tuple(records))
         return entries

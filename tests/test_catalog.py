@@ -321,6 +321,17 @@ def test_journal_entry_with_bad_interval_count_raises(tmp_path):
         Catalog(path)
 
 
+@pytest.mark.parametrize("field", ["n_points", "convergent", "entry"])
+def test_journal_line_without_a_field_raises_naming_the_sigma(tmp_path, field):
+    path = tmp_path / "catalog.json"
+    record = json.loads(journal_record(SIGMA5, {k: v for k, v in ENTRY5.items() if k != field}))
+    if field == "entry":
+        del record["entry"]
+    path.with_name("catalog.json.journal").write_text(json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json\.journal: KeyError: .* at " + SIGMA5):
+        Catalog(path)
+
+
 def test_catalog_store_appends_one_journal_line(tmp_path):
     path = tmp_path / "catalog.json"
     catalog = Catalog(path)
@@ -558,6 +569,7 @@ def test_reopening_an_unchanged_journal_digests_each_line_once(tmp_path, monkeyp
         return original(sigma, data)
 
     monkeypatch.setattr(catalog_module, "_entry_digest", counting)
+    monkeypatch.setattr(catalog_module, "_replayed", ("", b"", ()))  # no earlier test's lines
     opened = [Catalog(path) for _ in range(4)]
     sigma6 = format_configuration(canonical_configuration(SIGMA6))
     assert calls == [SIGMA5, sigma6]
