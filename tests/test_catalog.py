@@ -67,6 +67,13 @@ def write_snapshot(path, lines):
     path.write_bytes(head.encode() + body)
 
 
+def journal_record(sigma, entry, engine=Catalog.ENGINE_VERSION):
+    """One journal line as store writes it, under the given engine version."""
+    digest = hashlib.sha256(json.dumps([sigma, entry], separators=(",", ":")).encode()).hexdigest()
+    return json.dumps({"engine": engine, "sigma": sigma, "entry": entry, "sha256": digest},
+                      separators=(",", ":")) + "\n"
+
+
 def eager(path):
     """The catalog as a whole-file parse reads it, journal overlaid."""
     entries = {s: CatalogEntry.from_json(s, e) for s, e in json.loads(path.read_bytes())["entries"].items()}
@@ -498,13 +505,6 @@ def test_edited_journal_term_raises_naming_the_sigma(tmp_path):
     key = format_configuration(config)
     with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json\.journal: .*" + key):
         Catalog(path)
-
-
-def journal_record(sigma, entry, engine=Catalog.ENGINE_VERSION):
-    """One journal line as store writes it, under the given engine version."""
-    digest = hashlib.sha256(json.dumps([sigma, entry], separators=(",", ":")).encode()).hexdigest()
-    return json.dumps({"engine": engine, "sigma": sigma, "entry": entry, "sha256": digest},
-                      separators=(",", ":")) + "\n"
 
 
 def test_same_length_edit_after_a_replayed_open_raises(tmp_path):
