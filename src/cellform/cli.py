@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args)
-    except ValueError as exc:  # bad input; exit 1 stays reserved for failed checks
+    except (ValueError, OSError) as exc:  # bad input or path; exit 1 stays reserved for failed checks
         print(f"cellform {args.command}: error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "out", None):

@@ -4,22 +4,16 @@ A dihedral structure is a seating order up to rotation and reflection; a
 configuration is a pair of dihedral structures up to simultaneous relabeling,
 stored here through the representative [id, sigma] and canonicalized as the
 lexicographic minimum over the two-sided dihedral action.  The module also
-provides the convergence test, catalog enumeration, duality, and the partial
-star multiplication of pairs of dihedral structures.
+provides the convergence test, catalog enumeration and duality.
 """
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-
-
-class NotMultipliableError(ValueError):
-    """Raised when a star product is requested along an invalid site."""
 
 
 def _check_permutation(seq) -> tuple[int, ...]:
@@ -47,20 +41,6 @@ def dihedral_images(seq: tuple[int, ...]):
     for s in (seq, seq[::-1]):
         for r in range(n):
             yield s[r:] + s[:r]
-
-
-@dataclass(frozen=True, order=True)
-class DihedralStructure:
-    """A cyclic sequence up to rotation/reflection, held by its lex-least linear form."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        seq = _check_permutation(self.order)
-        object.__setattr__(self, "order", min(dihedral_images(seq)))
-
-    def __len__(self) -> int:
-        return len(self.order)
 
 
 @dataclass(frozen=True, order=True)
@@ -96,15 +76,6 @@ def canonical_configuration(sigma) -> Configuration:
 
 def _as_sigma(c) -> tuple[int, ...]:
     return c.sigma if isinstance(c, Configuration) else _check_permutation(c)
-
-
-def coset_images(sigma) -> list[tuple[int, ...]]:
-    """All distinct rho1 o sigma o rho2, every value map over every seat image:
-    the brute-force oracle for canonical_configuration and canonical_keys."""
-    seq = _as_sigma(sigma)
-    # the dihedral relabelings of the values 1..N, as 1-indexed lookup tuples
-    vmaps = [(0,) + image for image in dihedral_images(tuple(range(1, len(seq) + 1)))]
-    return sorted({tuple(vm[x] for x in s) for s in dihedral_images(seq) for vm in vmaps})
 
 
 def inverse_permutation(seq: tuple[int, ...]) -> tuple[int, ...]:
@@ -145,100 +116,6 @@ def is_convergent(sigma) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Star multiplication
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MultiplicationSite:
-    """Gluing data: s lives in the first factor's ground set, t in the second's."""
-
-    s: tuple[int, int, int]
-    t: tuple[int, int, int]
-
-
-def multiplication_triples(delta: DihedralStructure, delta_prime: DihedralStructure):
-    """Triples (t1,t2,t3) consecutive in delta (t2 middle) with t1,t3 adjacent
-    in delta_prime; the pair (delta, delta_prime) is multipliable along these."""
-    adjacent = {s[:2] for s in dihedral_images(delta_prime.order)}
-    triples = []
-    for s in itertools.islice(dihedral_images(delta.order), len(delta)):
-        if len(s) > 2 and (s[0], s[2]) in adjacent:
-            triples += [s[:3], s[2::-1]]
-    return triples
-
-
-def _orient(cyc: tuple[int, ...], prefix: tuple[int, ...]) -> tuple[int, ...]:
-    """The first dihedral image of cyc that starts with prefix."""
-    for image in dihedral_images(cyc):
-        if image[: len(prefix)] == prefix:
-            return image
-    raise NotMultipliableError(f"{prefix} is not consecutive in {cyc}")
-
-
-def _glue(consec: tuple[int, ...], t: tuple[int, int, int], adj: tuple[int, ...]) -> tuple[int, ...]:
-    """Unique shuffle of two cyclic sequences sharing exactly the triple t.
-
-    consec carries (t1,t2,t3) consecutively, adj carries the edge t1-t3; the
-    complementary arc of consec is spliced into that edge.
-    """
-    arc = _orient(consec, t)[3:]
-    return (t[0],) + tuple(reversed(arc)) + _orient(adj, t[::2])[1:]
-
-
-def star_product_pair(alpha_pair, beta_pair, site: MultiplicationSite, rest_order=None):
-    """Raw star product (gamma, gamma') on the glued ground set.
-
-    The first factor's ground set X is identified into Z = {1..M+N-3}: s_i maps
-    to t_i and the remaining N-3 elements map, in increasing order by default,
-    to M+1, M+2, ...; rest_order overrides that order (the resulting
-    configuration does not depend on the choice).
-    """
-    alpha, alpha_p = alpha_pair
-    beta, beta_p = beta_pair
-    s, t = tuple(site.s), tuple(site.t)
-    if len(set(s)) != 3 or len(set(t)) != 3:
-        raise NotMultipliableError("site triples must have three distinct elements")
-    n, m = len(alpha), len(beta)
-
-    rest = [x for x in range(1, n + 1) if x not in s]
-    if rest_order is not None:
-        if sorted(rest_order) != sorted(rest):
-            raise ValueError("rest_order must permute the non-site elements")
-        rest = list(rest_order)
-    fmap = {s[i]: t[i] for i in range(3)}
-    for j, x in enumerate(rest):
-        fmap[x] = m + 1 + j
-    a = tuple(fmap[x] for x in alpha.order)
-    a_p = tuple(fmap[x] for x in alpha_p.order)
-
-    # (alpha, alpha') multipliable along s; the dual (beta', beta) along t.
-    gamma = _glue(a, t, beta.order)
-    gamma_p = _glue(beta_p.order, t, a_p)
-    return gamma, gamma_p
-
-
-def multiply(alpha_pair, beta_pair, site: MultiplicationSite, rest_order=None) -> Configuration:
-    """Star product as a configuration (sign ambiguities never surface here)."""
-    gamma, gamma_p = star_product_pair(alpha_pair, beta_pair, site, rest_order)
-    tau = {g: i + 1 for i, g in enumerate(gamma)}
-    return canonical_configuration(tau[g] for g in gamma_p)
-
-
-def apery_power_sigma(m: int) -> tuple[int, ...]:
-    """Literal permutation of the 2M+1 point family whose leading coefficients
-    are the (M-1)-st power of the zeta(2) Apery numbers."""
-    if m < 2:
-        raise ValueError("family is defined for M >= 2")
-    widths = list(range(m - 1, 0, -1)) + list(range(1, m))
-    tail = [m + (w if i % 2 == 0 else -w) for i, w in enumerate(widths)]
-    return tuple([2 * m, m, 2 * m + 1] + tail)
-
-
-def apery_power_family(m: int) -> Configuration:
-    return canonical_configuration(apery_power_sigma(m))
-
-
-# ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
 
@@ -276,13 +153,3 @@ def enumerate_convergent(n: int) -> EnumerationResult:
     self_dual = int(np.count_nonzero(dual_keys == keys))
     return EnumerationResult(configs, len(configs), (len(configs) + self_dual) // 2,
                              [configs[i] for i in at])
-
-
-def enumerate_convergent_reference(n: int) -> list[Configuration]:
-    """Plain-Python enumeration, for cross-checking the kernels at small N."""
-    found = set()
-    for suffix in itertools.permutations(range(2, n + 1)):
-        seq = (1,) + suffix
-        if is_convergent(seq):
-            found.add(canonical_configuration(seq).sigma)
-    return [Configuration(n, s) for s in sorted(found)]

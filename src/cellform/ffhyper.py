@@ -64,15 +64,6 @@ def _character_field(p: int) -> tuple[int, list[int]]:
     return q, powers
 
 
-def orthogonality_check(p: int, chi_index: int) -> bool:
-    """Verify sum_x chi(x) = p-1 for the trivial character and 0 otherwise."""
-    _, dlog = build_table(p)
-    q, powers = _character_field(p)
-    total = sum(powers[chi_index * dlog[x] % (p - 1)] for x in range(1, p)) % q
-    expected = p - 1 if chi_index % (p - 1) == 0 else 0
-    return total == expected
-
-
 def _greene_binomials(dlog: tuple[int, ...], q: int, powers: list[int]) -> list[int]:
     """Jacobi sums J_chi = p C(phi*chi, chi) mod q for every chi.
 

@@ -5,8 +5,8 @@ permutations during enumeration, canonicalizing them under the two-sided
 dihedral action, and counting points on the Legendre curves over F_p.  Each
 has one vectorized implementation here.  The first two are tested against
 the plain-Python oracles ``configurations.is_convergent`` (for the convergence
-test the generator applies seat by seat) and ``configurations.coset_images``
-(whose least element is the canonical key); the traces against
+test the generator applies seat by seat) and ``coset_images`` in
+``tests/oracles.py`` (whose least element is the canonical key); the traces against
 ``modforms.legendre_trace``, a second route that evaluates each curve's cubic
 directly, and the tests check that one against a plain sum of characters.
 Everything involving arbitrary-precision integers lives elsewhere.

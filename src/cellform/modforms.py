@@ -49,21 +49,6 @@ def gamma_cm(k: int, p: int) -> int:
     return sign * 2 * re
 
 
-def gamma_cm_power_identity(k: int, m: int, p: int) -> bool:
-    """m-th powers of prime coefficients expand over higher weights with
-    p-power binomial weights, plus a central term when p = 1 (mod 4), m even."""
-    if k < 2 or m < 1:
-        raise ValueError("need k >= 2 and m >= 1")
-    lhs = gamma_cm(k, p) ** m
-    rhs = sum(
-        comb(m, t) * p ** (t * (k - 1)) * gamma_cm((m - 2 * t) * (k - 1) + 1, p)
-        for t in range((m - 1) // 2 + 1)
-    )
-    if p % 4 == 1 and m % 2 == 0:
-        rhs += comb(m, m // 2) * p ** ((m // 2) * (k - 1))
-    return lhs == rhs
-
-
 # ---------------------------------------------------------------------------
 # Eta products
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Closed-form binomial sequences, exact harmonic numbers and their residues,
-and the elementary congruence checkers that back the supercongruence proofs.
+"""Closed-form binomial sequences, harmonic numbers as residues, and the
+elementary congruence checkers that back the supercongruence proofs.
 
 `apery_a` and `apery_b` are the direct binomial sums: they define the two
 Apery sequences and serve as test oracles.  The verifiers evaluate them with
@@ -11,9 +11,8 @@ products mod p), so they stay independent of clever identities.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -109,14 +108,6 @@ def rising_factorial(a: int, n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return prod(range(a, a + n))
-
-
-def harmonic(n: int) -> Fraction:
-    """H_n = sum_{j<=n} 1/j as an exact rational, H_0 = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    den = lcm(*range(1, n + 1))
-    return Fraction(sum(den // j for j in range(1, n + 1)), den)
 
 
 def _harmonic_residues(n: int, modulus: int) -> list[int]:

@@ -11,17 +11,7 @@ import numpy as np
 import pytest
 
 from cellform._primes import _phi, odd_primes_in
-from cellform.configurations import (
-    DihedralStructure,
-    MultiplicationSite,
-    apery_power_family,
-    apery_power_sigma,
-    canonical_configuration,
-    enumerate_convergent,
-    multiplication_triples,
-    multiply,
-    star_product_pair,
-)
+from cellform.configurations import canonical_configuration, enumerate_convergent
 from cellform.congruences import (
     verify_ahlgren,
     verify_beukers,
@@ -47,6 +37,16 @@ from cellform.modforms import (
 )
 from cellform.recfit import check_self_duality_symmetry, fit
 from cellform.sequences import a_sigma8, apery_a, apery_b, lemma_suite
+
+from oracles import (
+    DihedralStructure,
+    MultiplicationSite,
+    apery_power_family,
+    apery_power_sigma,
+    multiplication_triples,
+    multiply,
+    star_product_pair,
+)
 
 SIGMA8 = (8, 3, 6, 1, 4, 7, 2, 5)
 

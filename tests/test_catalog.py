@@ -4,8 +4,10 @@ import hashlib
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -14,6 +16,7 @@ import cellform.catalog as catalog_module
 from cellform.catalog import _LINE, Catalog, CatalogEntry
 from cellform.configurations import canonical_configuration, enumerate_convergent, format_configuration
 from cellform.ctengine import best_model, leading_coefficients
+from cellform.sequences import apery_a
 
 SIGMA5 = format_configuration(canonical_configuration((1, 3, 5, 2, 4)))
 ENTRY5 = {"n_points": 5, "convergent": True, "intervals": [[1, 1], [1, 2], [2, 3]],
@@ -269,6 +272,22 @@ def test_reopening_unchanged_bytes_indexes_them_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_an_open_the_index_serves_copies_no_snapshot_bytes(tmp_path):
+    # Two copies of the 158 KB perfbench snapshot at every open were enough for
+    # malloc to return the heap top after each open and fault it in again.
+    path = tmp_path / "catalog.json"
+    write_snapshot(path, ['"1,%d":%s' % (i, json.dumps(ENTRY5)) for i in range(2000)])
+    Catalog(path)  # fills the index slot
+    tracemalloc.start()
+    try:
+        catalog = Catalog(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(catalog.entries) == 2000
+    assert peak < 1.5 * path.stat().st_size  # the read bytes and the index copy
+
+
 def test_malformed_snapshot_raises_on_every_open(tmp_path):
     # Only an index that passed every check is kept for the next open.
     path = tmp_path / "catalog.json"
@@ -393,6 +412,22 @@ def test_corrupt_catalog_raises_and_keeps_file(tmp_path):
     assert path.read_bytes() == b"{"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",  # valid JSON, but not an object
+        '{"engine": "%s", "entries": {"1,3,5,2,4": {"convergent": true}}}' % Catalog.ENGINE_VERSION,
+    ],
+    ids=["not_an_object", "entry_without_n_points"],
+)
+def test_malformed_catalog_raises_and_keeps_file(tmp_path, text):
+    path = tmp_path / "catalog.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="corrupt catalog .*catalog.json"):
+        Catalog(path)
+    assert path.read_text() == text
+
+
 def test_catalog_reads_old_indented_snapshot(tmp_path):
     # Catalogs written before the journal carry no digest and are indented.
     path = tmp_path / "catalog.json"
@@ -426,6 +461,30 @@ def test_catalog_write_is_atomic_and_roundtrips(tmp_path):
     key = format_configuration(record.config)
     assert again.get_terms(key) == record.terms
     assert not list(tmp_path.glob(".catalog-*"))  # no temp files left behind
+
+
+def test_leading_coefficients_uses_catalog(tmp_path):
+    catalog = Catalog(tmp_path / "catalog.json")
+    c = canonical_configuration(SIGMA5)
+    leading_coefficients(c, 4, catalog)
+    key = format_configuration(c)
+    # decimal strings on disk, reloadable, and actually consulted
+    reloaded = Catalog(tmp_path / "catalog.json")
+    assert reloaded.get_terms(key) == [apery_a(n) for n in range(5)]
+    reloaded.entries[key].terms[1] = "999"  # poison: cache hit must expose this
+    assert leading_coefficients(c, 1, reloaded).terms == [1, 999]
+
+
+def test_snapshot_and_journal_share_one_file_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        catalog = Catalog(tmp_path / "catalog.json")
+        leading_coefficients(canonical_configuration(SIGMA5), 3, catalog)
+        catalog.save()
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(catalog.path.stat().st_mode) == 0o644
+    assert stat.S_IMODE(catalog.journal.stat().st_mode) == 0o644
 
 
 def test_edited_snapshot_term_raises_naming_the_file(tmp_path):

@@ -496,8 +496,12 @@ def test_cache_dir_rejected_where_no_catalog_is_opened(command, tmp_path, capsys
             ["coeffs", "--sigma", "1,3,5,2,4", "--terms", "-1", "--cache-dir", "."],
             "cellform coeffs: error: the term count must be nonnegative, got -1",
         ),
+        (
+            ["verify", "thm1", "--pmax", "7", "--out", "missing/rows.jsonl"],
+            "cellform verify: error: [Errno 2] No such file or directory: 'missing/rows.jsonl'",
+        ),
     ],
-    ids=["hyper_p9", "verify_thm1_l0", "verify_conj1_no_source", "coeffs_negative_terms"],
+    ids=["hyper_p9", "verify_thm1_l0", "verify_conj1_no_source", "coeffs_negative_terms", "out_in_missing_dir"],
 )
 def test_bad_input_exits_2_with_one_line(argv, message, tmp_path):
     # Exit 1 means a disproved congruence; rejected input must not look like one.

@@ -7,23 +7,26 @@ import pytest
 
 from cellform.configurations import (
     Configuration,
+    canonical_configuration,
+    dihedral_images,
+    dual,
+    enumerate_convergent,
+    format_configuration,
+    inverse_permutation,
+    is_convergent,
+    parse_configuration,
+)
+
+from oracles import (
     DihedralStructure,
     MultiplicationSite,
     NotMultipliableError,
     apery_power_family,
     apery_power_sigma,
-    canonical_configuration,
     coset_images,
-    dihedral_images,
-    dual,
-    enumerate_convergent,
     enumerate_convergent_reference,
-    format_configuration,
-    inverse_permutation,
-    is_convergent,
     multiplication_triples,
     multiply,
-    parse_configuration,
     star_product_pair,
 )
 

@@ -1,22 +1,14 @@
 import hashlib
 import itertools
-import json
-import os
-import stat
 from collections import defaultdict
 
 import pytest
 
-from cellform.catalog import Catalog
 from cellform.configurations import (
-    apery_power_family,
-    apery_power_sigma,
     canonical_configuration,
-    coset_images,
     dihedral_images,
     dual,
     enumerate_convergent,
-    format_configuration,
 )
 from cellform.ctengine import (
     IntervalFormProduct,
@@ -29,6 +21,8 @@ from cellform.ctengine import (
     linear_form_model,
 )
 from cellform.sequences import a_sigma8, apery_a, apery_b
+
+from oracles import apery_power_family, coset_images
 
 SIGMA5 = (1, 3, 5, 2, 4)
 SIGMA6 = (1, 5, 3, 6, 2, 4)
@@ -214,50 +208,6 @@ def test_dual_coefficients_measured(shared_catalog):
     assert differing == 16  # 4 one-sided pairs at N=7, 12 at N=8
 
 
-# ---------------------------------------------------------------------------
-# caching
-# ---------------------------------------------------------------------------
-
-def test_leading_coefficients_uses_catalog(tmp_path):
-    catalog = Catalog(tmp_path / "catalog.json")
-    c = canonical_configuration(SIGMA5)
-    leading_coefficients(c, 4, catalog)
-    key = format_configuration(c)
-    # decimal strings on disk, reloadable, and actually consulted
-    reloaded = Catalog(tmp_path / "catalog.json")
-    assert reloaded.get_terms(key) == [apery_a(n) for n in range(5)]
-    reloaded.entries[key].terms[1] = "999"  # poison: cache hit must expose this
-    assert leading_coefficients(c, 1, reloaded).terms == [1, 999]
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "[]",  # valid JSON, but not an object
-        '{"engine": "%s", "entries": {"1,3,5,2,4": {"convergent": true}}}' % Catalog.ENGINE_VERSION,
-    ],
-    ids=["not_an_object", "entry_without_n_points"],
-)
-def test_malformed_catalog_raises_and_keeps_file(tmp_path, text):
-    path = tmp_path / "catalog.json"
-    path.write_text(text)
-    with pytest.raises(ValueError, match="corrupt catalog .*catalog.json"):
-        Catalog(path)
-    assert path.read_text() == text
-
-
-def test_snapshot_and_journal_share_one_file_mode(tmp_path):
-    old = os.umask(0o022)
-    try:
-        catalog = Catalog(tmp_path / "catalog.json")
-        leading_coefficients(canonical_configuration(SIGMA5), 3, catalog)
-        catalog.save()
-    finally:
-        os.umask(old)
-    assert stat.S_IMODE(catalog.path.stat().st_mode) == 0o644
-    assert stat.S_IMODE(catalog.journal.stat().st_mode) == 0o644
-
-
 def test_best_model_is_equivalent(shared_catalog):
     c = canonical_configuration(SIGMA8)
     model = best_model(c)
@@ -327,7 +277,7 @@ def test_star_product_multiplies_coefficients(shared_catalog):
     # Gluing the 5- and 6-point configurations must multiply their
     # coefficient sequences; multiply() and the sweep know nothing of each
     # other, so agreement here checks both at once.
-    from cellform.configurations import DihedralStructure, MultiplicationSite, multiply
+    from oracles import DihedralStructure, MultiplicationSite, multiply
 
     pair5 = (DihedralStructure((1, 2, 3, 4, 5)), DihedralStructure(SIGMA5))
     pair6 = (DihedralStructure(tuple(range(1, 7))), DihedralStructure(SIGMA6))

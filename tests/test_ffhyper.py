@@ -7,12 +7,13 @@ from cellform.ffhyper import (
     build_table,
     hyp2f1_exact,
     hyp_greene,
-    orthogonality_check,
     teichmuller,
     truncated_2f1_mod_p2,
     truncated_2f1_reference,
 )
 from cellform.modforms import ETA4_2Z_4Z, eta_qexp, gamma_cm
+
+from oracles import orthogonality_check
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from cellform import kernels
-from cellform.configurations import canonical_configuration, coset_images, is_convergent
+from cellform.configurations import canonical_configuration, is_convergent
 from cellform.modforms import legendre_trace
+
+from oracles import coset_images
 
 
 def _perm_batch(n):

@@ -10,11 +10,12 @@ from cellform.modforms import (
     EtaProductSpec,
     eta_qexp,
     gamma_cm,
-    gamma_cm_power_identity,
     gamma_eta12_pointcount,
     legendre_trace,
     two_squares,
 )
+
+from oracles import gamma_cm_power_identity
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ from cellform.sequences import (
     apery_a,
     apery_b,
     apery_values,
-    harmonic,
     lemma_suite,
     rising_factorial,
 )
+
+from oracles import harmonic
 
 
 def test_apery_values():
