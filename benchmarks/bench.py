@@ -19,11 +19,9 @@ workloads run one command in a fresh interpreter from each side's copied
 ``src/`` and record its wall time and peak RSS; a run fails if it exits
 nonzero:
 
-- ``cli_enumerate_n11`` runs ``cellform enumerate --n 11 --out X``.  A run
-  fails if it prints another count line.  The change's run fails unless its
-  catalog equals the parent's with every entry's ``intervals`` set aside and
-  its ``intervals`` have the sha256 ``ENUMERATE_N11_INTERVALS`` (the seat
-  image that ``best_model`` picks is recorded there, and it may change).
+- ``cli_enumerate_n11`` runs ``cellform enumerate --n 11 --out X``: a
+  catalog of the 7028 N=11 classes and their duals, with no terms and no
+  model.
 - ``cli_conj1_n10_p5`` runs ``cellform verify conj1 --n 10 --p 5 --out X`` on
   an empty ``--cache-dir`` (all 771 classes pass).
 - ``cli_fit_sigma8`` runs ``cellform fit --sequence sigma8 --terms 120
@@ -36,8 +34,8 @@ nonzero:
 - ``cli_hyper_p397`` runs ``cellform hyper --p 397 --out X``: a Greene sum,
   a point count and a truncated sum mod p^2 for each lambda = 2..396.
 
-A run of the last five fails unless its ``--out`` rows, or its stdout where
-it writes none, have the sha256 in ``CLI_DIGESTS``.
+A run fails unless its ``--out`` file (rows, or the catalog), or its stdout
+where it writes none, has the sha256 in ``CLI_DIGESTS``.
 
 Every child runs in a session of its own.  A SIGTERM to this script (or
 Ctrl-C) kills the running child's whole process group, ``run.py``'s worker
@@ -75,9 +73,8 @@ CLI_WORKLOADS = {  # {out} and {cache} stand for the run's --out file and an emp
     "cli_modform_p1999": ["modform", "--pmax", "1999"],
     "cli_hyper_p397": ["hyper", "--p", "397", "--out", "{out}"],
 }
-ENUMERATE_N11_LINE = "N=11: 7028 convergent configurations (3565 up to duality) -> "
-ENUMERATE_N11_INTERVALS = "448479b1e1437f2cce8ccee601aa8467002b746075dd2e71d4d5baf89d43a669"
-CLI_DIGESTS = {  # sha256 of a correct run's --out rows, or of its stdout where it writes none
+CLI_DIGESTS = {  # sha256 of a correct run's --out file, or of its stdout where it writes none
+    "cli_enumerate_n11": "31d422a71a47bfdbc46cbcae881102bdf3333c573e2017f87f9b6d87a087d88a",
     "cli_conj1_n10_p5": "66687ab8250cf8621fd5dbdd0b583524bab9dd0bf7e4e7f3311307f67824bffa",
     "cli_fit_sigma8": "8d7578b12d46a8669ab773608c8f262decb2b7c5dec7d6e95b4b2234f31f9d0f",
     "cli_thm2_p999": "8baa48889343a003c7a1a24d1f8c8123e693d71617264dc544fcc53b1e56310b",
@@ -151,26 +148,12 @@ def run_cli(root: Path, workload: str, out: Path) -> dict:
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     proc.stdout.close()
-    if workload == "cli_enumerate_n11":
-        ok = proc.returncode == 0 and printed.startswith(ENUMERATE_N11_LINE)
-    elif "{out}" in args:
+    if "{out}" in args:
         ok = proc.returncode == 0 and out.exists() and sha256(out.read_bytes()) == CLI_DIGESTS[workload]
     else:
         ok = proc.returncode == 0 and sha256(printed.encode()) == CLI_DIGESTS[workload]
     return {"metrics": {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024},
             "attempted": 1, "failed": int(not ok)}
-
-
-def same_catalog_but_intervals(parent: Path, change: Path) -> bool:
-    """The two catalogs agree with every entry's intervals set aside, and the
-    change's intervals are the pinned ones."""
-    if not (parent.exists() and change.exists()):
-        return False
-    old, new = (json.loads(path.read_bytes())["entries"] for path in (parent, change))
-    intervals = {sigma: entry.pop("intervals") for sigma, entry in new.items()}
-    for entry in old.values():
-        del entry["intervals"]
-    return old == new and sha256(json.dumps(intervals, sort_keys=True).encode()) == ENUMERATE_N11_INTERVALS
 
 
 def run_pair(sides: dict, workload: str, first: str, seed: int, seconds: float, report: dict) -> dict:
@@ -182,9 +165,6 @@ def run_pair(sides: dict, workload: str, first: str, seed: int, seconds: float, 
             else:
                 pair[side], report["machine"] = run(sides[side], workload, seed, seconds)
             print(workload, side, json.dumps(pair[side]), flush=True)
-        if workload == "cli_enumerate_n11" and not same_catalog_but_intervals(
-                Path(tmp, "parent.json"), Path(tmp, "change.json")):
-            pair["change"]["failed"] = 1
     return pair
 
 

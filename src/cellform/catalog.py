@@ -40,9 +40,9 @@ engine version and a sha256 of the lines below it.
   atomically (temp file and rename) and truncates the journal.  Another
   process's stores and compactions are never lost or overwritten.
 
-An entry's ``intervals`` is the model its writer passed: ``store`` overwrites
-the entry, ``add_configuration`` never does, and the CLI passes the best model
-to both.
+``intervals`` is the model an entry's stored terms were swept with (``store``
+writes both), else ``[]``.  An older catalog or a library caller's
+``add_configuration`` may leave a model beside no terms; no command reads it.
 
 A torn last journal line, left by a crash during an append, is dropped with a
 warning.  A digest mismatch or a malformed file raises, naming the file (and

@@ -29,7 +29,7 @@ from .congruences import (
     verify_thm1,
     verify_thm2,
 )
-from .ctengine import best_model, leading_coefficients
+from .ctengine import leading_coefficients
 from .ffhyper import (
     hyp2f1_from_trace,
     hyp_greene,
@@ -111,7 +111,7 @@ def cmd_enumerate(args) -> int:
     result = enumerate_convergent(args.n)
     catalog = Catalog(args.out) if args.out else _open_catalog(args)
     for config, dual_config in zip(result.configurations, result.duals):
-        catalog.add_configuration(config, True, best_model(config).factors, dual_config)
+        catalog.add_configuration(config, True, dual_config=dual_config)
     catalog.save()
     print(
         f"N={args.n}: {result.count} convergent configurations "

@@ -7,9 +7,6 @@ import sys
 import time
 from contextlib import contextmanager
 
-import numpy as np
-import pytest
-
 from cellform._primes import _phi, odd_primes_in
 from cellform.configurations import canonical_configuration, enumerate_convergent
 from cellform.congruences import (

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cellform.configurations import (
-    Configuration,
     canonical_configuration,
     dihedral_images,
     dual,

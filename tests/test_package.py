@@ -9,6 +9,8 @@ and the names that module-level code of src/cellform uses outside any
 definition.  tests/ is never a root, and docstrings and comments never count:
 a helper that only the tests run belongs in tests/oracles.py.  Dunder names
 such as ``__version__`` are read by tools, not named in code, and are exempt.
+
+No module of src/cellform or tests/ imports a name that it never reads.
 """
 import ast
 import re
@@ -91,3 +93,26 @@ def unreached_definitions(root: Path) -> list[str]:
 def test_every_definition_is_reached_by_a_command_or_the_benchmark():
     unreached = unreached_definitions(ROOT)
     assert not unreached, "reached by no command and no benchmark:\n" + "\n".join(unreached)
+
+
+def unused_imports(root: Path) -> list[str]:
+    """`file:line name` for each name that a module of root/src/cellform or
+    root/tests imports and never loads; `from __future__` is exempt."""
+    unused = []
+    for path in sorted([*root.glob("src/cellform/*.py"), *root.glob("tests/*.py")]):
+        tree = ast.parse(path.read_text())
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{path.relative_to(root)}:{node.lineno} {name}")
+    return unused
+
+
+def test_no_unused_imports():
+    unused = unused_imports(ROOT)
+    assert not unused, "imported and never read:\n" + "\n".join(unused)
