@@ -22,6 +22,8 @@ nonzero:
 - ``cli_enumerate_n11`` runs ``cellform enumerate --n 11 --out X``: a
   catalog of the 7028 N=11 classes and their duals, with no terms and no
   model.
+- ``cli_enumerate_n12`` runs ``cellform enumerate --n 12 --out X``: the same
+  for the 72,823 N=12 classes, where canonical keys are most of the run.
 - ``cli_conj1_n10_p5`` runs ``cellform verify conj1 --n 10 --p 5 --out X`` on
   an empty ``--cache-dir`` (all 771 classes pass).
 - ``cli_fit_sigma8`` runs ``cellform fit --sequence sigma8 --terms 120
@@ -67,6 +69,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("enumerate", "conj1_cold", "catalog_mixed", "congruences")
 CLI_WORKLOADS = {  # {out} and {cache} stand for the run's --out file and an empty cache dir
     "cli_enumerate_n11": ["enumerate", "--n", "11", "--out", "{out}"],
+    "cli_enumerate_n12": ["enumerate", "--n", "12", "--out", "{out}"],
     "cli_conj1_n10_p5": ["verify", "conj1", "--n", "10", "--p", "5", "--out", "{out}", "--cache-dir", "{cache}"],
     "cli_fit_sigma8": ["fit", "--sequence", "sigma8", "--terms", "120", "--order", "4", "--degree", "15"],
     "cli_thm2_p999": ["verify", "thm2", "--pmax", "999", "--out", "{out}", "--cache-dir", "{cache}"],
@@ -75,6 +78,7 @@ CLI_WORKLOADS = {  # {out} and {cache} stand for the run's --out file and an emp
 }
 CLI_DIGESTS = {  # sha256 of a correct run's --out file, or of its stdout where it writes none
     "cli_enumerate_n11": "31d422a71a47bfdbc46cbcae881102bdf3333c573e2017f87f9b6d87a087d88a",
+    "cli_enumerate_n12": "9e20f61e9eacf9f5921c18018024ab3ae0f0186c634de17c57b7bf8d4c14a295",
     "cli_conj1_n10_p5": "66687ab8250cf8621fd5dbdd0b583524bab9dd0bf7e4e7f3311307f67824bffa",
     "cli_fit_sigma8": "8d7578b12d46a8669ab773608c8f262decb2b7c5dec7d6e95b4b2234f31f9d0f",
     "cli_thm2_p999": "8baa48889343a003c7a1a24d1f8c8123e693d71617264dc544fcc53b1e56310b",

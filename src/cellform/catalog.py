@@ -252,7 +252,7 @@ class Catalog:
         return fd
 
     def store(self, config, intervals, terms: list[int]) -> None:
-        entry = self._put(config, True, intervals, terms)
+        entry = self._put(format_configuration(config), config, True, intervals, terms)
         data = entry.to_json()
         line = _dumps(
             {"engine": self.ENGINE_VERSION, "sigma": entry.sigma, "entry": data,
@@ -321,11 +321,11 @@ class Catalog:
             return None
         return [int(t) for t in entry.terms]
 
-    def _put(self, config, convergent: bool, intervals, terms=(), dual_config=None) -> CatalogEntry:
-        """Build, validate and insert the entry of config, its dual included
-        (computed here unless the caller already has it)."""
+    def _put(self, key: str, config, convergent: bool, intervals, terms=(), dual_config=None) -> CatalogEntry:
+        """Build, validate and insert the entry of config under its formatted key,
+        its dual included (computed here unless the caller already has it)."""
         entry = CatalogEntry(
-            sigma=format_configuration(config),
+            sigma=key,
             n_points=config.n_points,
             convergent=convergent,
             intervals=[tuple(iv) for iv in intervals],
@@ -336,6 +336,7 @@ class Catalog:
         return entry
 
     def add_configuration(self, config, convergent: bool, intervals=(), dual_config=None) -> None:
-        if format_configuration(config) not in self._entries:
-            self._put(config, convergent, intervals, dual_config=dual_config)
+        key = format_configuration(config)
+        if key not in self._entries:
+            self._put(key, config, convergent, intervals, dual_config=dual_config)
             self._changed = True

@@ -65,13 +65,33 @@ def parse_configuration(text: str) -> Configuration:
 
 def canonical_configuration(sigma) -> Configuration:
     """Canonical double-coset representative of [id, sigma]: the least
-    rho1 o sigma o rho2 over dihedral value maps rho1 and seat maps rho2."""
+    rho1 o sigma o rho2 over dihedral value maps rho1 and seat maps rho2.
+
+    The least image starts with 1: per seat image only the value rotation and
+    reflection sending its first seat to 1 can win, 4N candidates (as in
+    kernels.canonical_keys).  They are compared digit by digit, the second digit
+    from the cyclic seat gaps, and only the survivor is built.
+    """
     seq = _check_permutation(sigma)
     n = len(seq)
-    # The least image starts with 1: per seat image s only the value rotation and
-    # reflection sending s[0] to 1 can win, 4N candidates (as in canonical_keys).
-    return Configuration(n, min(tuple(e * (v - s[0]) % n + 1 for v in s)
-                                for s in dihedral_images(seq) for e in (1, -1)))
+    seats = seq + seq
+    # A candidate (r, d, e) reads seat r + d*k as e * (seats[r + d*k] - seats[r]) % n + 1.
+    gaps = [(seats[j + 1] - seats[j]) % n for j in range(n)]
+    least = min(min(g, n - g) for g in gaps)
+    cands = []
+    for j, g in enumerate(gaps):
+        if g == least:
+            cands += [(j, 1, 1), (j + 1, -1, -1)]
+        if n - g == least:
+            cands += [(j, 1, -1), (j + 1, -1, 1)]
+    k = 2
+    while len(cands) > 1 and k < n:
+        digits = [e * (seats[r + d * k] - seats[r]) % n for r, d, e in cands]
+        least = min(digits)
+        cands = [c for c, x in zip(cands, digits) if x == least]
+        k += 1
+    r, d, e = cands[0]  # any survivor left after the last digit builds the same image
+    return Configuration(n, tuple(e * (seats[r + d * k] - seats[r]) % n + 1 for k in range(n)))
 
 
 def _as_sigma(c) -> tuple[int, ...]:
@@ -141,9 +161,10 @@ def enumerate_convergent(n: int) -> EnumerationResult:
     keys = np.empty(0, dtype=np.int64)
     for lo in range(0, len(rows), kernels._BATCH):  # memory: one block plus the classes
         keys = np.union1d(keys, kernels.canonical_keys(rows[lo : lo + kernels._BATCH]))
-    configs = [Configuration(n, kernels.decode_key(int(k), n)) for k in keys]
+    # Every class key decoded at once, its most significant digit first.
+    sigmas = keys[:, None] // (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64) % (n + 1)
+    configs = [Configuration(n, tuple(sigma)) for sigma in sigmas.tolist()]
     # The dual of each class is the canonical key of its inverse permutation.
-    sigmas = np.array([c.sigma for c in configs], dtype=np.int64).reshape(-1, n)
     dual_keys = kernels.canonical_keys(np.argsort(sigmas, axis=1) + 1)
     at = np.searchsorted(keys, dual_keys)
     missing = np.count_nonzero(keys[np.minimum(at, len(keys) - 1)] != dual_keys)

@@ -107,18 +107,10 @@ def _completions(table: np.ndarray, n: int, seats: np.ndarray, masks: np.ndarray
 #
 # The 4N candidates of configurations.canonical_configuration are compared
 # through a base-(N+1) integer encoding, whose numeric order is the
-# lexicographic order on sequences.
+# lexicographic order on sequences.  Every candidate starts with 1, and its
+# second digit is 1 plus a cyclic seat gap g or N - g, so only the candidates
+# whose second digit is the row's least are gathered and encoded.
 # ---------------------------------------------------------------------------
-
-def _dihedral_maps(n: int) -> np.ndarray:
-    """The 2n dihedral permutations of the cycle 1..n, as 0-based arrays."""
-    maps = np.empty((2 * n, n), dtype=np.int64)
-    base = np.arange(n)
-    for r in range(n):
-        maps[r] = (base + r) % n
-        maps[n + r] = (r - base) % n
-    return maps
-
 
 def _check_key_width(n: int) -> None:
     if (n + 1) ** n > np.iinfo(np.int64).max:
@@ -135,25 +127,23 @@ def _encode(batch: np.ndarray) -> np.ndarray:
 def canonical_keys(batch: np.ndarray) -> np.ndarray:
     """Per-row canonical double-coset key (encoded canonical sequence)."""
     # The images are built in int8 (entries are at most N <= 15, which
-    # _encode checks); only the encoding widens to int64.
+    # _check_key_width checks); only the encoding widens to int64.
     batch = np.ascontiguousarray(batch, dtype=np.int8)
-    n = batch.shape[1]
-    best = np.full(batch.shape[0], np.iinfo(np.int64).max, dtype=np.int64)
-    for seat_map in _dihedral_maps(n):
-        seats = batch[:, seat_map]
-        shift = seats - seats[:, :1]
-        for image in (shift % n + 1, -shift % n + 1):
-            np.minimum(best, _encode(image), out=best)
+    rows, n = batch.shape
+    _check_key_width(n)
+    gaps = (np.roll(batch, -1, axis=1) - batch) % n  # gaps[:, j] = seat j+1 - seat j
+    least = np.minimum(gaps, n - gaps).min(axis=1)
+    best = np.full(rows, np.iinfo(np.int64).max, dtype=np.int64)
+    for r in range(n):
+        for step in (1, -1):  # read the seats forward or backward from seat r
+            gap = gaps[:, r if step == 1 else r - 1]
+            seat_map = (r + step * np.arange(n)) % n
+            for sign in (1, -1):  # the value map sends seat r to 1, keeping or reversing the order
+                at = np.flatnonzero((gap if sign == step else n - gap) == least)
+                seats = batch[at][:, seat_map]
+                image = sign * (seats - seats[:, :1]) % n + 1
+                best[at] = np.minimum(best[at], _encode(image))
     return best
-
-
-def decode_key(key: int, n: int) -> tuple[int, ...]:
-    """Invert the base-(N+1) sequence encoding."""
-    digits = []
-    for _ in range(n):
-        key, d = divmod(key, n + 1)
-        digits.append(d)
-    return tuple(reversed(digits))
 
 
 # ---------------------------------------------------------------------------

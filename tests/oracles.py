@@ -5,7 +5,8 @@ tests rather than in the package (test_package.py keeps it that way):
 
 - ``coset_images`` and ``enumerate_convergent_reference``, the plain-Python
   oracles of ``canonical_configuration``, ``kernels.canonical_keys`` and
-  ``enumerate_convergent``;
+  ``enumerate_convergent``, and ``decode_key``, which reads a key back as a
+  sequence;
 - ``apery_power_sigma`` and ``apery_power_family``, the 2M+1 point family whose
   leading coefficients are powers of the zeta(2) Apery numbers;
 - Brown's partial star multiplication of pairs of dihedral structures
@@ -44,6 +45,15 @@ def coset_images(sigma) -> list[tuple[int, ...]]:
     # the dihedral relabelings of the values 1..N, as 1-indexed lookup tuples
     vmaps = [(0,) + image for image in dihedral_images(tuple(range(1, len(seq) + 1)))]
     return sorted({tuple(vm[x] for x in s) for s in dihedral_images(seq) for vm in vmaps})
+
+
+def decode_key(key: int, n: int) -> tuple[int, ...]:
+    """Invert the base-(N+1) sequence encoding of kernels.canonical_keys."""
+    digits = []
+    for _ in range(n):
+        key, d = divmod(key, n + 1)
+        digits.append(d)
+    return tuple(reversed(digits))
 
 
 def enumerate_convergent_reference(n: int) -> list[Configuration]:

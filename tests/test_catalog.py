@@ -14,7 +14,7 @@ import pytest
 
 import cellform.catalog as catalog_module
 from cellform.catalog import _LINE, Catalog, CatalogEntry
-from cellform.configurations import canonical_configuration, enumerate_convergent, format_configuration
+from cellform.configurations import canonical_configuration, dual, enumerate_convergent, format_configuration
 from cellform.ctengine import best_model, leading_coefficients
 from cellform.sequences import apery_a
 
@@ -105,6 +105,22 @@ def test_adding_a_stored_class_parses_nothing(n8, parses):
     catalog.add_configuration(config, True, best_model(config).factors)
     assert len(parses) == 2
     assert not catalog.unsaved
+
+
+def test_adding_a_class_formats_it_and_its_dual_once(tmp_path, monkeypatch):
+    # add_configuration used to format the class again in _put: 3 calls.
+    calls = []
+
+    def counting(c, original=format_configuration):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(catalog_module, "format_configuration", counting)
+    catalog = Catalog(tmp_path / "catalog.json")
+    config = canonical_configuration((1, 3, 7, 5, 2, 6, 4))
+    catalog.add_configuration(config, True)
+    assert calls == [config, dual(config)]
+    assert catalog.entries[str(config)].dual == str(dual(config))
 
 
 def test_entries_equal_the_whole_file_parse(n8):
