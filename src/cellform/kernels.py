@@ -127,10 +127,9 @@ def _encode(batch: np.ndarray) -> np.ndarray:
 def canonical_keys(batch: np.ndarray) -> np.ndarray:
     """Per-row canonical double-coset key (encoded canonical sequence)."""
     # The images are built in int8 (entries are at most N <= 15, which
-    # _check_key_width checks); only the encoding widens to int64.
+    # _encode checks); only the encoding widens to int64.
     batch = np.ascontiguousarray(batch, dtype=np.int8)
     rows, n = batch.shape
-    _check_key_width(n)
     gaps = (np.roll(batch, -1, axis=1) - batch) % n  # gaps[:, j] = seat j+1 - seat j
     least = np.minimum(gaps, n - gaps).min(axis=1)
     best = np.full(rows, np.iinfo(np.int64).max, dtype=np.int64)
