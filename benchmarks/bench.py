@@ -16,7 +16,8 @@ metrics (``catalog.load.s`` and the rest, see ``perfbench/tracer.py``) under
 the workload's ``layers: {parent, change}``; the medians and every other
 end-to-end figure still come from the untraced pairs alone.  The CLI
 workloads run one command in a fresh interpreter from each side's copied
-``src/`` and record its wall time and peak RSS; a run fails if it exits
+``src/`` and record its wall time, its peak RSS and, where it writes an
+``--out`` file, that file's size as ``out_bytes``; a run fails if it exits
 nonzero:
 
 - ``cli_enumerate_n11`` runs ``cellform enumerate --n 11 --out X``: a
@@ -77,8 +78,8 @@ CLI_WORKLOADS = {  # {out} and {cache} stand for the run's --out file and an emp
     "cli_hyper_p397": ["hyper", "--p", "397", "--out", "{out}"],
 }
 CLI_DIGESTS = {  # sha256 of a correct run's --out file, or of its stdout where it writes none
-    "cli_enumerate_n11": "31d422a71a47bfdbc46cbcae881102bdf3333c573e2017f87f9b6d87a087d88a",
-    "cli_enumerate_n12": "9e20f61e9eacf9f5921c18018024ab3ae0f0186c634de17c57b7bf8d4c14a295",
+    "cli_enumerate_n11": "c12505e7750c1478bbb395a93ac8e4a92a542851a861047e35f45d9ef4c52faf",
+    "cli_enumerate_n12": "380f4b328a89afecd98ce524a5bfeb6f6329b7699a80ba0f613cb4982da06ad3",
     "cli_conj1_n10_p5": "66687ab8250cf8621fd5dbdd0b583524bab9dd0bf7e4e7f3311307f67824bffa",
     "cli_fit_sigma8": "8d7578b12d46a8669ab773608c8f262decb2b7c5dec7d6e95b4b2234f31f9d0f",
     "cli_thm2_p999": "8baa48889343a003c7a1a24d1f8c8123e693d71617264dc544fcc53b1e56310b",
@@ -152,12 +153,13 @@ def run_cli(root: Path, workload: str, out: Path) -> dict:
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     proc.stdout.close()
+    metrics = {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
     if "{out}" in args:
         ok = proc.returncode == 0 and out.exists() and sha256(out.read_bytes()) == CLI_DIGESTS[workload]
+        metrics["out_bytes"] = out.stat().st_size if out.exists() else 0
     else:
         ok = proc.returncode == 0 and sha256(printed.encode()) == CLI_DIGESTS[workload]
-    return {"metrics": {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024},
-            "attempted": 1, "failed": int(not ok)}
+    return {"metrics": metrics, "attempted": 1, "failed": int(not ok)}
 
 
 def run_pair(sides: dict, workload: str, first: str, seed: int, seconds: float, report: dict) -> dict:

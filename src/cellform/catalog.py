@@ -1,11 +1,12 @@
 """Persistent catalog of configurations and their cached coefficient terms.
 
 A catalog is a snapshot file plus an append-only journal beside it.  The
-snapshot is one JSON object mapping canonical configuration strings to their
-point count, convergence flag, interval model, dual's canonical string and
-computed terms (held as decimal strings so files stay portable and
-diff-able), written one entry per line under a header that carries the
-engine version and a sha256 of the lines below it.
+snapshot is one JSON object mapping the canonical string of each convergent
+class to an entry of three fields, ``intervals`` (the interval model),
+``terms`` (the computed terms, held as decimal strings so files stay portable
+and diff-able) and ``dual`` (the dual's canonical string), written one entry
+per line under a header that carries the engine version and a sha256 of the
+lines below it.  The point count is the sigma's.
 
 - ``store`` appends one JSON line (engine, sigma, entry, sha256 of the entry)
   to ``<snapshot>.journal`` under an exclusive ``flock``; nothing else is
@@ -14,8 +15,8 @@ engine version and a sha256 of the lines below it.
   and replays the journal under a shared lock on the journal, which is
   truncated in place and never replaced, so a compaction cannot slip between
   the two reads.  An entry line is parsed and validated when it is first read
-  (``entries`` and ``save`` read them all); older snapshots without a sha256
-  are parsed whole.
+  (``entries`` and ``save`` read them all).  A snapshot without the header
+  it was written with raises.
 - The line index of the last snapshot body indexed is kept for the process,
   under that body's sha256: one slot holding one snapshot's line bytes, never
   the entries built from them.  Every open still reads the snapshot and checks
@@ -41,8 +42,8 @@ engine version and a sha256 of the lines below it.
   process's stores and compactions are never lost or overwritten.
 
 ``intervals`` is the model an entry's stored terms were swept with (``store``
-writes both), else ``[]``.  An older catalog or a library caller's
-``add_configuration`` may leave a model beside no terms; no command reads it.
+writes both), else ``[]``.  A library caller's ``add_configuration`` may
+leave a model beside no terms; no command reads it.
 
 A torn last journal line, left by a crash during an append, is dropped with a
 warning.  A digest mismatch or a malformed file raises, naming the file (and
@@ -58,7 +59,7 @@ import os
 import re
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .configurations import dual, format_configuration
@@ -67,37 +68,27 @@ from .configurations import dual, format_configuration
 @dataclass
 class CatalogEntry:
     sigma: str
-    n_points: int
-    convergent: bool
-    intervals: list[tuple[int, int]] = field(default_factory=list)
-    terms: list[str] = field(default_factory=list)
-    dual: str = ""
+    intervals: list[tuple[int, int]]
+    terms: list[str]
+    dual: str
 
     def __post_init__(self) -> None:
         # Entries built by _put and read from disk alike.
         if self.terms and self.terms[0] != "1":
             raise ValueError(f"terms for {self.sigma} must start with 1")
-        if self.intervals and len(self.intervals) != self.n_points - 2:
+        if self.intervals and len(self.intervals) != self.sigma.count(",") - 1:
             raise ValueError(f"interval count for {self.sigma} must be N-2")
 
     def to_json(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "convergent": self.convergent,
-            "intervals": [list(iv) for iv in self.intervals],
-            "terms": list(self.terms),
-            "dual": self.dual,
-        }
+        return {"intervals": [list(iv) for iv in self.intervals], "terms": list(self.terms), "dual": self.dual}
 
     @classmethod
     def from_json(cls, sigma: str, data: dict) -> "CatalogEntry":
         return cls(
             sigma=sigma,
-            n_points=int(data["n_points"]),
-            convergent=bool(data["convergent"]),
-            intervals=[tuple(iv) for iv in data.get("intervals", [])],
-            terms=[str(t) for t in data.get("terms", [])],
-            dual=data.get("dual", ""),
+            intervals=[tuple(iv) for iv in data["intervals"]],
+            terms=[str(t) for t in data["terms"]],
+            dual=data["dual"],
         )
 
 
@@ -110,7 +101,7 @@ def _entry_digest(sigma: str, data: dict) -> str:
 
 
 # The header and entry lines exactly as _write_snapshot writes them.
-_HEADER = re.compile(rb'\{"engine":"[^"\\]*","sha256":"[0-9a-f]{64}","entries":\{\n')
+_HEADER = re.compile(rb'\{"engine":"([^"\\]*)","sha256":"([0-9a-f]{64})","entries":\{\n')
 _LINE = re.compile(rb'^"([^"\\\x00-\x1f]*)":(\{.*\}),$', re.M)
 # The line index of the snapshot body last indexed in this process, under
 # the body's sha256: raw line bytes only, never the entries built from them.
@@ -124,7 +115,7 @@ _replayed: tuple[str, bytes, tuple[tuple[str, dict], ...]] = ("", b"", ())
 class Catalog:
     """Snapshot plus append-only journal; see the module docstring."""
 
-    ENGINE_VERSION = "cellform-ct-1"
+    ENGINE_VERSION = "cellform-ct-2"
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -159,8 +150,8 @@ class Catalog:
     # Anything malformed raises naming the file: starting empty instead would
     # let the next save overwrite it.
 
-    def _read_snapshot(self) -> dict[str, CatalogEntry | bytes]:
-        """Entries, or the raw JSON of each line of a snapshot with a sha256."""
+    def _read_snapshot(self) -> dict[str, bytes]:
+        """The raw JSON of each entry line of the snapshot, by sigma."""
         global _indexed
         try:
             raw = self.path.read_bytes()
@@ -168,22 +159,18 @@ class Catalog:
             return {}
         try:
             head = _HEADER.match(raw)
-            # A header of ours parses closed on its own; other files whole.
-            data = json.loads(raw[: head.end()] + b"}}") if head else json.loads(raw)
-            if not isinstance(data, dict):
-                raise TypeError("not a JSON object")
-            if data.get("engine") != self.ENGINE_VERSION:
+            if not head:
+                raise ValueError("no catalog header")
+            engine, digest = (g.decode() for g in head.groups())
+            if engine != self.ENGINE_VERSION:
                 return {}  # stale engine: start fresh, the next save overwrites
             # No copy of the snapshot when the slot matches: two at every open
             # let malloc hand the heap top back after each open and fault it in
             # again at the next, about 45 page faults per open of 158 KB.
-            signed = memoryview(raw)[raw.find(b"\n") + 1 :]  # the bytes the sha256 covers
-            if "sha256" in data and hashlib.sha256(signed).hexdigest() != data["sha256"]:
+            if hashlib.sha256(memoryview(raw)[head.end() :]).hexdigest() != digest:
                 raise ValueError("entries do not match their sha256")
-            if not head:
-                return {sigma: CatalogEntry.from_json(sigma, e) for sigma, e in data.get("entries", {}).items()}
-            digest, index = _indexed  # one read: another thread may replace the slot
-            if digest == data["sha256"]:  # these very bytes passed the checks below
+            indexed, index = _indexed  # one read: another thread may replace the slot
+            if indexed == digest:  # these very bytes passed the checks below
                 return dict(index)
             body = raw[head.end() :]
             if body == b"}}\n":
@@ -195,9 +182,9 @@ class Catalog:
             if len(pairs) != lines.count(b"\n") + 1:
                 raise ValueError("an entry line is not \"<sigma>\":{...}")
             index = {sigma.decode(): entry for sigma, entry in pairs}
-            _indexed = (data["sha256"], index)
+            _indexed = (digest, index)
             return dict(index)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"corrupt catalog {self.path}: {type(exc).__name__}: {exc}") from exc
 
     def _built(self, entries: dict[str, CatalogEntry | bytes], sigma: str) -> CatalogEntry | None:
@@ -252,7 +239,7 @@ class Catalog:
         return fd
 
     def store(self, config, intervals, terms: list[int]) -> None:
-        entry = self._put(format_configuration(config), config, True, intervals, terms)
+        entry = self._put(format_configuration(config), config, intervals, terms)
         data = entry.to_json()
         line = _dumps(
             {"engine": self.ENGINE_VERSION, "sigma": entry.sigma, "entry": data,
@@ -321,13 +308,11 @@ class Catalog:
             return None
         return [int(t) for t in entry.terms]
 
-    def _put(self, key: str, config, convergent: bool, intervals, terms=(), dual_config=None) -> CatalogEntry:
+    def _put(self, key: str, config, intervals, terms=(), dual_config=None) -> CatalogEntry:
         """Build, validate and insert the entry of config under its formatted key,
         its dual included (computed here unless the caller already has it)."""
         entry = CatalogEntry(
             sigma=key,
-            n_points=config.n_points,
-            convergent=convergent,
             intervals=[tuple(iv) for iv in intervals],
             terms=[str(t) for t in terms],
             dual=format_configuration(dual(config) if dual_config is None else dual_config),
@@ -337,6 +322,8 @@ class Catalog:
 
     def add_configuration(self, config, convergent: bool, intervals=(), dual_config=None) -> None:
         key = format_configuration(config)
+        if not convergent:
+            raise ValueError(f"the catalog holds convergent classes only, not {key}")
         if key not in self._entries:
-            self._put(key, config, convergent, intervals, dual_config=dual_config)
+            self._put(key, config, intervals, dual_config=dual_config)
             self._changed = True

@@ -19,8 +19,7 @@ from cellform.ctengine import best_model, leading_coefficients
 from cellform.sequences import apery_a
 
 SIGMA5 = format_configuration(canonical_configuration((1, 3, 5, 2, 4)))
-ENTRY5 = {"n_points": 5, "convergent": True, "intervals": [[1, 1], [1, 2], [2, 3]],
-          "terms": ["1", "3", "19"], "dual": SIGMA5}
+ENTRY5 = {"intervals": [[1, 1], [1, 2], [2, 3]], "terms": ["1", "3", "19"], "dual": SIGMA5}
 SIGMA6 = (1, 5, 3, 6, 2, 4)
 SIGMA7 = (1, 3, 7, 5, 2, 6, 4)
 
@@ -123,6 +122,15 @@ def test_adding_a_class_formats_it_and_its_dual_once(tmp_path, monkeypatch):
     assert catalog.entries[str(config)].dual == str(dual(config))
 
 
+def test_adding_a_class_as_not_convergent_raises_naming_it(tmp_path):
+    # Entries carry no convergence flag: a False would otherwise be dropped without a word.
+    catalog = Catalog(tmp_path / "catalog.json")
+    with pytest.raises(ValueError, match="convergent classes only, not " + SIGMA5):
+        catalog.add_configuration(canonical_configuration(SIGMA5), False)
+    assert catalog.entries == {}
+    assert not catalog.unsaved
+
+
 def test_entries_equal_the_whole_file_parse(n8):
     path, keys = n8
     catalog = Catalog(path)
@@ -190,12 +198,11 @@ def test_malformed_snapshot_line_raises_at_open(tmp_path, lines):
     "entry",
     [
         json.dumps(ENTRY5).replace(",", ",,", 1),  # braces as they should be, not valid JSON
-        json.dumps({k: v for k, v in ENTRY5.items() if k != "n_points"}),
-        json.dumps({k: v for k, v in ENTRY5.items() if k != "convergent"}),
+        *(json.dumps({k: v for k, v in ENTRY5.items() if k != field}) for field in ENTRY5),
         json.dumps({**ENTRY5, "terms": ["2", "3"]}),
         json.dumps({**ENTRY5, "intervals": [[1, 1]]}),
     ],
-    ids=["bad_json", "no_n_points", "no_convergent", "terms_start_with_2", "wrong_interval_count"],
+    ids=["bad_json", "no_intervals", "no_terms", "no_dual", "terms_start_with_2", "wrong_interval_count"],
 )
 def test_malformed_entry_raises_when_read_and_at_save(tmp_path, entry):
     path = tmp_path / "catalog.json"
@@ -213,6 +220,16 @@ def test_malformed_entry_raises_when_read_and_at_save(tmp_path, entry):
     with pytest.raises(ValueError, match=match):
         catalog.save()
     assert (path.read_bytes(), catalog.journal.read_bytes()) == before
+
+
+def test_interval_count_is_checked_against_the_sigma(tmp_path):
+    # The 3 intervals of a 5-point model under a 6-point sigma: N is the
+    # sigma's, so no field of the entry can make them fit.
+    path = tmp_path / "catalog.json"
+    sigma6 = format_configuration(canonical_configuration(SIGMA6))
+    write_snapshot(path, ['"%s":%s' % (sigma6, json.dumps(ENTRY5))])
+    with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json: .*interval count for " + sigma6):
+        Catalog(path).get_terms(sigma6)
 
 
 def test_snapshot_without_its_closing_line_raises_at_open(tmp_path):
@@ -292,7 +309,7 @@ def test_an_open_the_index_serves_copies_no_snapshot_bytes(tmp_path):
     # Two copies of the 158 KB perfbench snapshot at every open were enough for
     # malloc to return the heap top after each open and fault it in again.
     path = tmp_path / "catalog.json"
-    write_snapshot(path, ['"1,%d":%s' % (i, json.dumps(ENTRY5)) for i in range(2000)])
+    write_snapshot(path, ['"1,%d,2,3,4":%s' % (i, json.dumps(ENTRY5)) for i in range(5, 2005)])
     Catalog(path)  # fills the index slot
     tracemalloc.start()
     try:
@@ -343,15 +360,6 @@ def test_empty_snapshot_opens_empty(tmp_path):
     assert Catalog(path).entries == {}
 
 
-def test_legacy_snapshot_with_bad_terms_raises(tmp_path):
-    # Snapshots without a sha256 are parsed whole at open, and validated.
-    path = tmp_path / "catalog.json"
-    entry = {**ENTRY5, "terms": ["2", "3", "19"]}
-    path.write_text(json.dumps({"engine": Catalog.ENGINE_VERSION, "entries": {SIGMA5: entry}}, indent=1))
-    with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json: .*" + SIGMA5 + " must start with 1"):
-        Catalog(path)
-
-
 def test_journal_entry_with_bad_interval_count_raises(tmp_path):
     path = tmp_path / "catalog.json"
     catalog = Catalog(path)
@@ -363,7 +371,7 @@ def test_journal_entry_with_bad_interval_count_raises(tmp_path):
         Catalog(path)
 
 
-@pytest.mark.parametrize("field", ["n_points", "convergent", "entry"])
+@pytest.mark.parametrize("field", [*ENTRY5, "entry"])
 def test_journal_line_without_a_field_raises_naming_the_sigma(tmp_path, field):
     path = tmp_path / "catalog.json"
     record = json.loads(journal_record(SIGMA5, {k: v for k, v in ENTRY5.items() if k != field}))
@@ -432,9 +440,10 @@ def test_corrupt_catalog_raises_and_keeps_file(tmp_path):
     "text",
     [
         "[]",  # valid JSON, but not an object
-        '{"engine": "%s", "entries": {"1,3,5,2,4": {"convergent": true}}}' % Catalog.ENGINE_VERSION,
+        # the written layout, but no sha256 in the header
+        '{"engine":"%s","entries":{\n"%s":%s\n}}\n' % (Catalog.ENGINE_VERSION, SIGMA5, json.dumps(ENTRY5)),
     ],
-    ids=["not_an_object", "entry_without_n_points"],
+    ids=["not_an_object", "header_without_sha256"],
 )
 def test_malformed_catalog_raises_and_keeps_file(tmp_path, text):
     path = tmp_path / "catalog.json"
@@ -444,14 +453,14 @@ def test_malformed_catalog_raises_and_keeps_file(tmp_path, text):
     assert path.read_text() == text
 
 
-def test_catalog_reads_old_indented_snapshot(tmp_path):
-    # Catalogs written before the journal carry no digest and are indented.
+def test_pre_journal_snapshot_raises_and_keeps_file(tmp_path):
+    # Catalogs written before the journal carry no header and are indented.
     path = tmp_path / "catalog.json"
-    key = format_configuration(canonical_configuration(SIGMA5))
-    entry = {"n_points": 5, "convergent": True, "intervals": [[1, 1], [1, 2], [2, 3]],
-             "terms": ["1", "3", "19"], "dual": key}
-    path.write_text(json.dumps({"engine": Catalog.ENGINE_VERSION, "entries": {key: entry}}, indent=1))
-    assert Catalog(path).get_terms(key) == [1, 3, 19]
+    path.write_text(json.dumps({"engine": Catalog.ENGINE_VERSION, "entries": {SIGMA5: ENTRY5}}, indent=1))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json: "):
+        Catalog(path)
+    assert path.read_bytes() == before
 
 
 def test_opening_a_missing_catalog_creates_no_file(tmp_path):
@@ -659,8 +668,7 @@ def test_reopening_an_unchanged_journal_digests_each_line_once(tmp_path, monkeyp
 def test_other_engine_lines_stay_skipped_on_every_open(tmp_path, monkeypatch):
     path = tmp_path / "catalog.json"
     sigma6 = format_configuration(canonical_configuration(SIGMA6))
-    entry6 = {"n_points": 6, "convergent": True, "intervals": [[1, 1], [1, 2], [2, 3], [3, 4]],
-              "terms": ["1", "5"], "dual": sigma6}
+    entry6 = {"intervals": [[1, 1], [1, 2], [2, 3], [3, 4]], "terms": ["1", "5"], "dual": sigma6}
     path.with_name("catalog.json.journal").write_text(
         journal_record(sigma6, entry6, engine="cellform-ct-0") + journal_record(SIGMA5, ENTRY5))
     for _ in range(2):
