@@ -463,6 +463,15 @@ def test_pre_journal_snapshot_raises_and_keeps_file(tmp_path):
     assert path.read_bytes() == before
 
 
+def test_legacy_snapshot_with_bad_terms_raises(tmp_path):
+    # A header-less snapshot is refused at its header, before any term is read.
+    path = tmp_path / "catalog.json"
+    entry = {**ENTRY5, "terms": ["2", "3", "19"]}
+    path.write_text(json.dumps({"engine": Catalog.ENGINE_VERSION, "entries": {SIGMA5: entry}}, indent=1))
+    with pytest.raises(ValueError, match=r"corrupt catalog .*catalog\.json: ValueError: no catalog header"):
+        Catalog(path)
+
+
 def test_opening_a_missing_catalog_creates_no_file(tmp_path):
     catalog = Catalog(tmp_path / "sub" / "catalog.json")
     assert catalog.entries == {}
